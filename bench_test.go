@@ -23,7 +23,7 @@ import (
 // Rules of the nba dataset.
 func BenchmarkTable2MineNBA(b *testing.B) {
 	ds := dataset.NBA()
-	miner, err := ratiorules.NewMiner(ratiorules.WithFixedK(3))
+	miner, err := ratiorules.CoreMiner(ratiorules.FixedK(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func BenchmarkFig8ScaleUp(b *testing.B) {
 	for _, n := range []int{10000, 25000, 50000, 100000} {
 		n := n
 		b.Run(sizeName(n), func(b *testing.B) {
-			miner, err := ratiorules.NewMiner()
+			miner, err := ratiorules.CoreMiner()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -139,11 +139,7 @@ func itoa(n int) string {
 // projected onto its first two rules.
 func BenchmarkFig11Projection(b *testing.B) {
 	ds := dataset.NBA()
-	miner, err := ratiorules.NewMiner(ratiorules.WithFixedK(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rules, err := miner.MineMatrix(ds.X)
+	rules, err := ratiorules.Mine(ds.X, ratiorules.FixedK(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -165,11 +161,7 @@ func BenchmarkFig9Projection(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			miner, err := ratiorules.NewMiner(ratiorules.WithFixedK(2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rules, err := miner.MineMatrix(ds.X)
+			rules, err := ratiorules.Mine(ds.X, ratiorules.FixedK(2))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -201,33 +193,6 @@ func BenchmarkFig12Comparison(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md Sec. 5) ---
 
-// BenchmarkAblationEigenSolvers compares the default tred2/tql2 pipeline
-// against the cyclic Jacobi alternative on the mining workload.
-func BenchmarkAblationEigenSolvers(b *testing.B) {
-	ds := dataset.Baseball()
-	for _, tc := range []struct {
-		name string
-		opts []ratiorules.Option
-	}{
-		{"tred2-tql2", nil},
-		{"jacobi", []ratiorules.Option{ratiorules.WithJacobiSolver()}},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			miner, err := ratiorules.NewMiner(tc.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := miner.MineMatrix(ds.X); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCovariance compares the paper's one-pass covariance
 // accumulation against the two-pass centered variant.
 func BenchmarkAblationCovariance(b *testing.B) {
@@ -256,11 +221,7 @@ func BenchmarkAblationCovariance(b *testing.B) {
 // hole-filling against QR least squares on the over-specified case.
 func BenchmarkAblationFillSolvers(b *testing.B) {
 	ds := dataset.Baseball()
-	miner, err := ratiorules.NewMiner(ratiorules.WithFixedK(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rules, err := miner.MineMatrix(ds.X)
+	rules, err := ratiorules.Mine(ds.X, ratiorules.FixedK(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -289,7 +250,7 @@ func BenchmarkAblationFillSolvers(b *testing.B) {
 func BenchmarkAblationSparseMining(b *testing.B) {
 	const rows = 20000
 	b.Run("dense", func(b *testing.B) {
-		miner, err := ratiorules.NewMiner(ratiorules.WithMaxK(5))
+		miner, err := ratiorules.CoreMiner(ratiorules.MaxK(5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -304,7 +265,7 @@ func BenchmarkAblationSparseMining(b *testing.B) {
 		}
 	})
 	b.Run("sparse", func(b *testing.B) {
-		miner, err := ratiorules.NewMiner(ratiorules.WithMaxK(5))
+		miner, err := ratiorules.CoreMiner(ratiorules.MaxK(5))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -321,18 +282,19 @@ func BenchmarkAblationSparseMining(b *testing.B) {
 }
 
 // BenchmarkAblationSubspaceMiner compares the full eigensolve against
-// subspace iteration on the mining workload (M = 100 Quest data, k = 3).
+// extracting only the leading subspace with Lanczos on the mining
+// workload (M = 100 Quest data, k = 3).
 func BenchmarkAblationSubspaceMiner(b *testing.B) {
 	for _, tc := range []struct {
 		name string
-		opts []ratiorules.Option
+		opts []ratiorules.Opt
 	}{
-		{"full-solve", []ratiorules.Option{ratiorules.WithFixedK(3)}},
-		{"subspace", []ratiorules.Option{ratiorules.WithFixedK(3), ratiorules.WithSubspaceSolver()}},
+		{"full-solve", []ratiorules.Opt{ratiorules.FixedK(3)}},
+		{"lanczos", []ratiorules.Opt{ratiorules.FixedK(3), ratiorules.MinerOpts(ratiorules.WithLanczosSolver())}},
 	} {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			miner, err := ratiorules.NewMiner(tc.opts...)
+			miner, err := ratiorules.CoreMiner(tc.opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -354,7 +316,7 @@ func BenchmarkMineThroughput(b *testing.B) {
 	for _, ds := range experiments.Datasets() {
 		ds := ds
 		b.Run(ds.Name, func(b *testing.B) {
-			miner, err := ratiorules.NewMiner()
+			miner, err := ratiorules.CoreMiner()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -380,11 +342,7 @@ func BenchmarkGE1(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			miner, err := ratiorules.NewMiner()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rules, err := miner.MineMatrix(train.X)
+			rules, err := ratiorules.Mine(train.X)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -407,11 +365,7 @@ func BenchmarkGEh(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	miner, err := ratiorules.NewMiner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rules, err := miner.MineMatrix(train.X)
+	rules, err := ratiorules.Mine(train.X)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -426,11 +380,7 @@ func BenchmarkGEh(b *testing.B) {
 // BenchmarkFillRow measures single-record reconstruction latency.
 func BenchmarkFillRow(b *testing.B) {
 	ds := dataset.NBA()
-	miner, err := ratiorules.NewMiner(ratiorules.WithFixedK(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rules, err := miner.MineMatrix(ds.X)
+	rules, err := ratiorules.Mine(ds.X, ratiorules.FixedK(3))
 	if err != nil {
 		b.Fatal(err)
 	}

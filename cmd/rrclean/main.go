@@ -130,16 +130,21 @@ func readDamaged(path string) (header []string, rows [][]float64, holes [][]int,
 	return header, rows, holes, nil
 }
 
+// coreMiner builds the miner both fits use. The raw energy option
+// rejects a cutoff outside (0, 1] where Energy(0) would select the
+// default.
+func coreMiner(header []string, energy float64) (*ratiorules.Miner, error) {
+	return ratiorules.CoreMiner(ratiorules.AttrNames(header...),
+		ratiorules.MinerOpts(ratiorules.WithEnergy(energy)))
+}
+
 // mineEM fits rules on every row, holes included, via MineWithHoles.
 func mineEM(header []string, rows [][]float64, energy float64) (*ratiorules.Rules, error) {
 	x, err := ratiorules.MatrixFromRows(rows)
 	if err != nil {
 		return nil, err
 	}
-	miner, err := ratiorules.NewMiner(
-		ratiorules.WithAttrNames(header),
-		ratiorules.WithEnergy(energy),
-	)
+	miner, err := coreMiner(header, energy)
 	if err != nil {
 		return nil, err
 	}
@@ -167,10 +172,7 @@ func mineComplete(header []string, rows [][]float64, holes [][]int, robust bool,
 	if err != nil {
 		return nil, err
 	}
-	miner, err := ratiorules.NewMiner(
-		ratiorules.WithAttrNames(header),
-		ratiorules.WithEnergy(energy),
-	)
+	miner, err := coreMiner(header, energy)
 	if err != nil {
 		return nil, err
 	}

@@ -47,15 +47,7 @@ func TestGuessEndToEnd(t *testing.T) {
 		v := 1 + float64(i)*0.25
 		rows[i] = []float64{v, 2 * v}
 	}
-	x, err := ratiorules.MatrixFromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	miner, err := ratiorules.NewMiner(ratiorules.WithAttrNames([]string{"bread", "milk"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := miner.MineMatrix(x)
+	rules, err := ratiorules.MineRows(rows, ratiorules.AttrNames("bread", "milk"))
 	if err != nil {
 		t.Fatal(err)
 	}

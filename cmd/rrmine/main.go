@@ -67,18 +67,16 @@ func run(args []string) error {
 		return err
 	}
 
-	opts := []ratiorules.Option{ratiorules.WithAttrNames(src.Header())}
+	opts := []ratiorules.Opt{ratiorules.AttrNames(src.Header()...)}
 	if *k >= 0 {
-		opts = append(opts, ratiorules.WithFixedK(*k))
+		opts = append(opts, ratiorules.FixedK(*k))
 	} else {
-		opts = append(opts, ratiorules.WithEnergy(*energy))
-	}
-	miner, err := ratiorules.NewMiner(opts...)
-	if err != nil {
-		return err
+		// The raw option rejects a cutoff outside (0, 1]; Energy(0)
+		// would silently select the default.
+		opts = append(opts, ratiorules.MinerOpts(ratiorules.WithEnergy(*energy)))
 	}
 	start := time.Now()
-	rules, err := miner.Mine(src)
+	rules, err := ratiorules.MineStream(src, opts...)
 	if err != nil {
 		return err
 	}

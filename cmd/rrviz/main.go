@@ -115,11 +115,7 @@ func vizCSV(w io.Writer, path string, x, y int) error {
 	if y > need {
 		need = y
 	}
-	miner, err := ratiorules.NewMiner(ratiorules.WithFixedK(need), ratiorules.WithAttrNames(ds.Attrs))
-	if err != nil {
-		return err
-	}
-	rules, err := miner.MineMatrix(ds.X)
+	rules, err := ratiorules.Mine(ds.X, ratiorules.FixedK(need), ratiorules.AttrNames(ds.Attrs...))
 	if err != nil {
 		return err
 	}

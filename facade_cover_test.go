@@ -14,12 +14,12 @@ import (
 func TestFacadeWrappers(t *testing.T) {
 	x := grocery(300, 40)
 
-	// Option constructors.
-	miner, err := ratiorules.NewMiner(
+	// Option constructors, through the raw-option escape hatch.
+	miner, err := ratiorules.CoreMiner(ratiorules.MinerOpts(
 		ratiorules.WithEnergy(0.9),
 		ratiorules.WithMaxK(2),
 		ratiorules.WithAttrNames([]string{"bread", "milk", "butter"}),
-	)
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,28 +31,17 @@ func TestFacadeWrappers(t *testing.T) {
 		t.Fatalf("K = %d", rules.K())
 	}
 
-	// Jacobi and fixed-k options.
-	jm, err := ratiorules.NewMiner(ratiorules.WithFixedK(1), ratiorules.WithJacobiSolver())
+	// Fixed k with the Lanczos leading-pair solver.
+	lm, err := ratiorules.CoreMiner(ratiorules.MinerOpts(ratiorules.WithFixedK(1), ratiorules.WithLanczosSolver()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jm.MineMatrix(x); err != nil {
+	r, err := lm.MineMatrix(x)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Subspace and Lanczos solvers.
-	for _, opt := range []ratiorules.Option{ratiorules.WithSubspaceSolver(), ratiorules.WithLanczosSolver()} {
-		sm, err := ratiorules.NewMiner(ratiorules.WithFixedK(1), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := sm.MineMatrix(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(r.Eigenvalues()[0]-rules.Eigenvalues()[0]) > 1e-5*(1+rules.Eigenvalues()[0]) {
-			t.Error("leading-pair solver disagrees with full solve")
-		}
+	if math.Abs(r.Eigenvalues()[0]-rules.Eigenvalues()[0]) > 1e-5*(1+rules.Eigenvalues()[0]) {
+		t.Error("leading-pair solver disagrees with full solve")
 	}
 
 	// GEh through the facade.
@@ -77,7 +66,7 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 
 	// Weighted mining through the facade.
-	wm, err := ratiorules.NewMiner()
+	wm, err := ratiorules.CoreMiner()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestStreamMinerThroughFacade(t *testing.T) {
 
 func TestMineShardedThroughFacade(t *testing.T) {
 	x := grocery(200, 22)
-	miner, err := ratiorules.NewMiner()
+	miner, err := ratiorules.CoreMiner()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCategoricalThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules := mustMine(t, ds.X, ratiorules.WithAttrNames(ds.Attrs))
+	rules := mustMine(t, ds.X, ratiorules.AttrNames(ds.Attrs...))
 	// Hide the tier of a $100 spender; the rules should vote "gold".
 	start, end, err := enc.FieldColumns(0)
 	if err != nil {
@@ -141,22 +141,5 @@ func TestBandsThroughFacade(t *testing.T) {
 	}
 	if frac := float64(covered) / float64(total); frac < 0.55 {
 		t.Errorf("2-sigma coverage = %v, want >= 0.55", frac)
-	}
-}
-
-func TestFillMatrixThroughFacade(t *testing.T) {
-	x := grocery(100, 32)
-	x.Set(5, 1, ratiorules.Hole)
-	x.Set(9, 2, ratiorules.Hole)
-	rules := mustMine(t, grocery(100, 33))
-	n, err := ratiorules.FillMatrix(rules, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("filled %d cells, want 2", n)
-	}
-	if ratiorules.IsHole(x.At(5, 1)) || ratiorules.IsHole(x.At(9, 2)) {
-		t.Error("holes remain after FillMatrix")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"ratiorules/internal/core"
 	"ratiorules/internal/obs/trace"
 	"ratiorules/internal/online"
+	"ratiorules/internal/stats"
 )
 
 // maxInflightChunks bounds unacked chunks per session — the fan-out's
@@ -233,7 +234,7 @@ func (s *Session) flushChunk() error {
 	}
 	payload := s.buf
 	s.buf = s.newBuf()
-	if !core.RowAllFinite(payload) {
+	if !stats.AllFinite(payload) {
 		return s.flushMixed(payload)
 	}
 	return s.dispatch(payload)
@@ -248,7 +249,7 @@ func (s *Session) flushMixed(payload []float64) error {
 	clean := s.newBuf()
 	for off := 0; off+s.width <= len(payload); off += s.width {
 		row := payload[off : off+s.width]
-		if core.RowAllFinite(row) {
+		if stats.AllFinite(row) {
 			clean = append(clean, row...)
 			continue
 		}

@@ -4,22 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
-	"ratiorules/internal/matrix"
+	"ratiorules/internal/stats"
 )
 
 // streamCheckpoint is the serialized sufficient statistics of a
-// StreamMiner. The mining *options* (cutoff, solver) are reconstruction
-// parameters, not data, so they are re-supplied at load time.
+// StreamMiner: a version tag followed by the accumulator's state. The
+// mining *options* (cutoff, solver) are reconstruction parameters, not
+// data, so they are re-supplied at load time.
 type streamCheckpoint struct {
-	Version int         `json:"version"`
-	Width   int         `json:"width"`
-	Decay   float64     `json:"decay"`
-	Weight  float64     `json:"weight"`
-	Count   int         `json:"count"`
-	Sums    []float64   `json:"sums"`
-	Cross   [][]float64 `json:"cross"` // upper triangle, row-major per row
+	Version int `json:"version"`
+	stats.CovState
 }
 
 const checkpointVersion = 1
@@ -28,26 +23,15 @@ const checkpointVersion = 1
 // pipeline can checkpoint and resume exactly: Load followed by the same
 // pushes yields the same rules as an uninterrupted run.
 func (s *StreamMiner) Save(w io.Writer) error {
-	cp := streamCheckpoint{
-		Version: checkpointVersion,
-		Width:   s.width,
-		Decay:   s.decay,
-		Weight:  s.weight,
-		Count:   s.count,
-		Sums:    s.sums,
-		Cross:   make([][]float64, s.width),
-	}
-	for j := 0; j < s.width; j++ {
-		cp.Cross[j] = append([]float64(nil), s.cross.RawRow(j)[j:]...)
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(cp); err != nil {
+	cp := streamCheckpoint{Version: checkpointVersion, CovState: s.acc.State()}
+	if err := json.NewEncoder(w).Encode(cp); err != nil {
 		return fmt.Errorf("core: saving stream checkpoint: %w", err)
 	}
 	return nil
 }
 
-// LoadStreamMiner restores a checkpointed stream miner. The mining options
+// LoadStreamMiner restores a checkpointed stream miner. The state is
+// checked as stats.RestoreCovAccumulator documents. The mining options
 // are re-supplied (they are configuration, not state) and must be valid
 // for the checkpoint's width.
 func LoadStreamMiner(r io.Reader, opts ...Option) (*StreamMiner, error) {
@@ -58,33 +42,9 @@ func LoadStreamMiner(r io.Reader, opts ...Option) (*StreamMiner, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("core: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
-	if cp.Width <= 0 || len(cp.Sums) != cp.Width || len(cp.Cross) != cp.Width {
-		return nil, fmt.Errorf("core: corrupt checkpoint shapes (width %d, %d sums, %d cross rows): %w",
-			cp.Width, len(cp.Sums), len(cp.Cross), ErrWidth)
-	}
-	// Validate every cross row's shape before allocating the width²
-	// matrix, so a checkpoint claiming a huge width with truncated rows
-	// cannot force an allocation larger than its own payload.
-	for j, tail := range cp.Cross {
-		if len(tail) != cp.Width-j {
-			return nil, fmt.Errorf("core: corrupt checkpoint cross row %d (%d values, want %d): %w",
-				j, len(tail), cp.Width-j, ErrWidth)
-		}
-	}
-	if cp.Count < 0 || cp.Weight < 0 || math.IsNaN(cp.Weight) {
-		return nil, fmt.Errorf("core: corrupt checkpoint counters (count %d, weight %v)", cp.Count, cp.Weight)
-	}
-	sm, err := NewStreamMiner(cp.Width, cp.Decay, opts...)
+	acc, err := stats.RestoreCovAccumulator(cp.CovState)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: corrupt stream checkpoint: %w", streamErr(err))
 	}
-	sm.weight = cp.Weight
-	sm.count = cp.Count
-	copy(sm.sums, cp.Sums)
-	cross := matrix.NewDense(cp.Width, cp.Width)
-	for j, tail := range cp.Cross {
-		copy(cross.RawRow(j)[j:], tail)
-	}
-	sm.cross = cross
-	return sm, nil
+	return newStreamMiner(acc, opts)
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"ratiorules/internal/matrix"
 )
 
 // Hole is the paper's "?" marker: place it in a record passed to
@@ -155,42 +153,6 @@ func (r *Rules) FillRecordWithBands(record []float64) (*BandedFill, error) {
 		}
 	}
 	return &BandedFill{Filled: filled, Std: std}, nil
-}
-
-// FillMatrix repairs every Hole-marked cell of x in place using est,
-// row by row, and reports how many cells were filled. Rows without holes
-// are untouched. This is the batch form of FillRow used by data-cleaning
-// pipelines (rrclean, the data-cleaning example).
-func FillMatrix(est Estimator, x *matrix.Dense) (int, error) {
-	n, m := x.Dims()
-	if m != est.Width() {
-		return 0, fmt.Errorf("core: FillMatrix on %d-wide matrix with %d-wide estimator: %w",
-			m, est.Width(), ErrWidth)
-	}
-	filled := 0
-	row := make([]float64, m)
-	var holes []int
-	for i := 0; i < n; i++ {
-		holes = holes[:0]
-		copy(row, x.RawRow(i))
-		for j, v := range row {
-			if IsHole(v) {
-				holes = append(holes, j)
-			}
-		}
-		if len(holes) == 0 {
-			continue
-		}
-		fixed, err := est.FillRow(row, holes)
-		if err != nil {
-			return filled, fmt.Errorf("core: FillMatrix row %d: %w", i, err)
-		}
-		for _, j := range holes {
-			x.Set(i, j, fixed[j])
-		}
-		filled += len(holes)
-	}
-	return filled, nil
 }
 
 // ColAvgs is the paper's straightforward competitor: predict every hidden

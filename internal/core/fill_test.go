@@ -420,42 +420,6 @@ func TestSortedHoles(t *testing.T) {
 	}
 }
 
-func TestFillMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(130))
-	x := planeData(rng, 80, 4, 2)
-	truth := x.Clone()
-	// Punch holes.
-	holes := 0
-	for i := 0; i < 80; i += 3 {
-		x.Set(i, i%4, Hole)
-		holes++
-	}
-	rules := mineK(t, truth, 2)
-	filled, err := FillMatrix(rules, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filled != holes {
-		t.Errorf("filled %d cells, want %d", filled, holes)
-	}
-	if !matrix.EqualApprox(x, truth, 1e-6*(1+truth.MaxAbs())) {
-		t.Error("repair did not recover on-plane values")
-	}
-	// Idempotent on a hole-free matrix.
-	filled, err = FillMatrix(rules, x)
-	if err != nil || filled != 0 {
-		t.Errorf("second pass filled %d, err %v", filled, err)
-	}
-}
-
-func TestFillMatrixWidthError(t *testing.T) {
-	rng := rand.New(rand.NewSource(131))
-	rules := mineK(t, planeData(rng, 50, 4, 2), 2)
-	if _, err := FillMatrix(rules, matrix.NewDense(3, 9)); !errors.Is(err, ErrWidth) {
-		t.Errorf("err = %v, want ErrWidth", err)
-	}
-}
-
 func TestFillRecordWithBands(t *testing.T) {
 	// Noisy plane: the residual band should match the injected noise scale.
 	rng := rand.New(rand.NewSource(140))

@@ -32,36 +32,56 @@ func testMatrix(t *testing.T) *matrix.Dense {
 	return x
 }
 
+// Every Mine* entry point runs the same tail, so each records the same
+// phases and throughput for the same 5×3 matrix.
 func TestMineRecordsPhasesAndThroughput(t *testing.T) {
 	x := testMatrix(t)
 	miner, err := NewMiner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := snapshotDelta(t, func() {
-		if _, err := miner.MineMatrix(x); err != nil {
-			t.Fatal(err)
+	weighted := func() *WeightedSliceSource {
+		src := &WeightedSliceSource{}
+		for i := 0; i < x.Rows(); i++ {
+			src.Rows = append(src.Rows, WeightedRow{Row: x.RawRow(i), Weight: 1})
 		}
-	})
-	for _, key := range []string{
-		`rr_miner_phase_seconds_count{phase="scan"}`,
-		`rr_miner_phase_seconds_count{phase="covariance"}`,
-		`rr_miner_phase_seconds_count{phase="eigensolve"}`,
-		`rr_miner_mines_total{result="ok"}`,
+		return src
+	}
+	for _, tc := range []struct {
+		name string
+		mine func() (*Rules, error)
+	}{
+		{"MineMatrix", func() (*Rules, error) { return miner.MineMatrix(x) }},
+		{"MineSparse", func() (*Rules, error) { return miner.MineSparse(&sliceSparseSource{m: x}) }},
+		{"MineWeighted", func() (*Rules, error) { return miner.MineWeighted(weighted()) }},
 	} {
-		if delta[key] != 1 {
-			t.Errorf("%s moved by %v, want 1", key, delta[key])
-		}
-	}
-	if delta["rr_miner_rows_total"] != 5 || delta["rr_miner_cells_total"] != 15 {
-		t.Errorf("rows/cells delta = %v / %v, want 5 / 15",
-			delta["rr_miner_rows_total"], delta["rr_miner_cells_total"])
-	}
-	// Throughput gauges are set, not added; read them directly.
-	snap := obs.Default().Snapshot()
-	if snap["rr_miner_rows_per_second"] <= 0 || snap["rr_miner_cells_per_second"] <= 0 {
-		t.Errorf("throughput gauges not set: rows/s=%v cells/s=%v",
-			snap["rr_miner_rows_per_second"], snap["rr_miner_cells_per_second"])
+		t.Run(tc.name, func(t *testing.T) {
+			delta := snapshotDelta(t, func() {
+				if _, err := tc.mine(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for _, key := range []string{
+				`rr_miner_phase_seconds_count{phase="scan"}`,
+				`rr_miner_phase_seconds_count{phase="covariance"}`,
+				`rr_miner_phase_seconds_count{phase="eigensolve"}`,
+				`rr_miner_mines_total{result="ok"}`,
+			} {
+				if delta[key] != 1 {
+					t.Errorf("%s moved by %v, want 1", key, delta[key])
+				}
+			}
+			if delta["rr_miner_rows_total"] != 5 || delta["rr_miner_cells_total"] != 15 {
+				t.Errorf("rows/cells delta = %v / %v, want 5 / 15",
+					delta["rr_miner_rows_total"], delta["rr_miner_cells_total"])
+			}
+			// Throughput gauges are set, not added; read them directly.
+			snap := obs.Default().Snapshot()
+			if snap["rr_miner_rows_per_second"] <= 0 || snap["rr_miner_cells_per_second"] <= 0 {
+				t.Errorf("throughput gauges not set: rows/s=%v cells/s=%v",
+					snap["rr_miner_rows_per_second"], snap["rr_miner_cells_per_second"])
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"ratiorules/internal/eigen"
 	"ratiorules/internal/matrix"
@@ -53,14 +54,11 @@ func (s *matrixSource) Next() ([]float64, error) {
 // Miner configures Ratio Rules mining. The zero value is not usable;
 // construct with NewMiner and functional options.
 type Miner struct {
-	energy    float64 // Eq. 1 threshold in (0, 1]
-	fixedK    int     // if > 0, retain exactly this many rules
-	maxK      int     // if > 0, cap k after the energy cutoff
-	subspace  bool    // extract only the needed leading pairs
-	attrs     []string
-	eigSolver func(*matrix.Dense) (*eigen.System, error)
-	// topK extracts leading pairs when subspace mode is on.
-	topK func(*matrix.Dense, int) (*eigen.System, error)
+	energy  float64 // Eq. 1 threshold in (0, 1]
+	fixedK  int     // if > 0, retain exactly this many rules
+	maxK    int     // if > 0, cap k after the energy cutoff
+	lanczos bool    // extract only the needed leading pairs
+	attrs   []string
 }
 
 // Option customizes a Miner.
@@ -110,44 +108,21 @@ func WithAttrNames(names []string) Option {
 	}
 }
 
-// WithJacobiSolver switches the eigensolver to cyclic Jacobi (ablation and
-// cross-checking; SymEig is the default).
-func WithJacobiSolver() Option {
-	return func(m *Miner) error {
-		m.eigSolver = eigen.Jacobi
-		return nil
-	}
-}
-
-// WithSubspaceSolver extracts only the leading eigenpairs by block power
-// iteration instead of the full O(M³) solve — the strategy the paper's
-// footnote 1 recommends when M is large. It requires a bound on the number
-// of rules: combine with WithFixedK or WithMaxK. The Eq. 1 energy cutoff
-// still applies, using the scatter matrix's trace as the total variance.
-func WithSubspaceSolver() Option {
-	return func(m *Miner) error {
-		m.subspace = true
-		m.topK = eigen.TopK
-		return nil
-	}
-}
-
 // WithLanczosSolver extracts the leading eigenpairs with the Lanczos
 // method (full reorthogonalization) — the algorithm family the paper's
 // footnote 1 cites, and the fastest option when k ≪ M. It requires a
 // bound on the number of rules: combine with WithFixedK or WithMaxK.
 func WithLanczosSolver() Option {
 	return func(m *Miner) error {
-		m.subspace = true
-		m.topK = eigen.Lanczos
+		m.lanczos = true
 		return nil
 	}
 }
 
 // NewMiner returns a Miner with the paper's defaults (85% energy cutoff,
-// tred2/tql2 eigensolver).
+// the full tred2/tql2 eigensolve of eigen.SymEig).
 func NewMiner(opts ...Option) (*Miner, error) {
-	m := &Miner{energy: DefaultEnergy, fixedK: -1, eigSolver: eigen.SymEig}
+	m := &Miner{energy: DefaultEnergy, fixedK: -1}
 	for _, o := range opts {
 		if err := o(m); err != nil {
 			return nil, err
@@ -169,57 +144,100 @@ func (m *Miner) Mine(src RowSource) (*Rules, error) {
 // the rr_miner_phase_seconds histograms as before; spans add the
 // per-run view.
 func (m *Miner) MineContext(ctx context.Context, src RowSource) (*Rules, error) {
-	width := src.Width()
+	return m.mine(ctx, src.Width(), func(acc *stats.CovAccumulator) error { return pushRows(src, acc) })
+}
+
+// pushRows drains src into acc.
+func pushRows(src RowSource, acc *stats.CovAccumulator) error {
+	for {
+		row, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("core: reading training rows: %w", err)
+		}
+		if err := acc.Push(row); err != nil {
+			return fmt.Errorf("core: accumulating row %d: %w", acc.Count(), err)
+		}
+	}
+}
+
+// mine is the one tail behind every Mine* entry point. Each entry point
+// is a source adapter: a fill function that pours its rows into one
+// accumulator, or one fill per shard (run concurrently). mine checks the
+// width, runs the fills as the scan phase, merges the shard
+// accumulators, and solves the merged scatter matrix, with the phase
+// timers, the mine.* spans and the run's metrics around all of it.
+func (m *Miner) mine(ctx context.Context, width int, fills ...func(*stats.CovAccumulator) error) (*Rules, error) {
 	if width <= 0 {
 		return nil, fmt.Errorf("core: source width %d: %w", width, ErrWidth)
 	}
 	if m.attrs != nil && len(m.attrs) != width {
 		return nil, fmt.Errorf("core: %d attribute names for width %d: %w", len(m.attrs), width, ErrWidth)
 	}
-	acc := stats.NewCovAccumulator(width)
-	scanTimer := obs.NewTimer(scanPhase)
-	_, scanSpan := trace.Start(ctx, "mine.scan")
-	for {
-		row, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			scanSpan.End()
-			recordMine(0, width, 0, err)
-			return nil, fmt.Errorf("core: reading training rows: %w", err)
-		}
-		if err := acc.Push(row); err != nil {
-			scanSpan.End()
-			recordMine(0, width, 0, err)
-			return nil, fmt.Errorf("core: accumulating row %d: %w", acc.Count(), err)
-		}
-	}
-	scanSpan.SetAttr("rows", acc.Count())
-	scanSpan.End()
-	scanElapsed := scanTimer.ObserveDuration()
-	if acc.Count() < 2 {
-		err := fmt.Errorf("core: mining needs at least 2 rows, got %d", acc.Count())
+	fail := func(err error) (*Rules, error) {
 		recordMine(0, width, 0, err)
 		return nil, err
 	}
+	accs := make([]*stats.CovAccumulator, len(fills))
+	errs := make([]error, len(fills))
+	scanTimer := obs.NewTimer(scanPhase)
+	_, scanSpan := trace.Start(ctx, "mine.scan")
+	var wg sync.WaitGroup
+	for i, fill := range fills {
+		accs[i] = stats.NewCovAccumulator(width)
+		if i > 0 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = fill(accs[i])
+			}()
+		}
+	}
+	errs[0] = fills[0](accs[0])
+	wg.Wait()
+	rows := 0
+	for _, acc := range accs {
+		rows += acc.Count()
+	}
+	scanSpan.SetAttr("rows", rows)
+	scanSpan.End()
+	scanElapsed := scanTimer.ObserveDuration()
+	for _, err := range errs {
+		if err != nil {
+			return fail(err)
+		}
+	}
+
+	total := accs[0]
+	if len(accs) > 1 {
+		mergeTimer := obs.NewTimer(mergePhase)
+		for _, acc := range accs[1:] {
+			if err := total.Merge(acc); err != nil {
+				return fail(fmt.Errorf("core: merging shard accumulators: %w", err))
+			}
+		}
+		mergeTimer.ObserveDuration()
+	}
+	if total.Count() < 2 {
+		return fail(fmt.Errorf("core: mining needs at least 2 rows, got %d", total.Count()))
+	}
+
 	covTimer := obs.NewTimer(covariancePhase)
 	_, covSpan := trace.Start(ctx, "mine.covariance")
-	scatter, err := acc.Scatter()
-	if err != nil {
-		covSpan.End()
-		recordMine(0, width, 0, err)
-		return nil, fmt.Errorf("core: building covariance: %w", err)
+	scatter, err := total.Scatter()
+	var means []float64
+	if err == nil {
+		means, err = total.Means()
 	}
-	means, err := acc.Means()
 	covSpan.End()
 	covTimer.ObserveDuration()
 	if err != nil {
-		recordMine(0, width, 0, err)
-		return nil, fmt.Errorf("core: computing column averages: %w", err)
+		return fail(fmt.Errorf("core: building covariance: %w", err))
 	}
-	rules, err := m.rulesFromScatter(ctx, scatter, means, acc.Count())
-	recordMine(acc.Count(), width, scanElapsed, err)
+	rules, err := m.rulesFromScatter(ctx, scatter, means, total.Count())
+	recordMine(total.Count(), width, scanElapsed, err)
 	return rules, err
 }
 
@@ -243,10 +261,10 @@ func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, mea
 	)
 	eigTimer := obs.NewTimer(eigensolvePhase)
 	_, eigSpan := trace.Start(ctx, "mine.eigensolve")
-	if m.subspace {
+	if m.lanczos {
 		sys, total, err = m.leadingPairs(scatter)
 	} else {
-		sys, err = m.eigSolver(scatter)
+		sys, err = eigen.SymEig(scatter)
 		if err == nil {
 			// Clamp round-off negatives: a scatter matrix is PSD.
 			for i, l := range sys.Values {
@@ -297,8 +315,8 @@ func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, mea
 }
 
 // leadingPairs extracts just the eigenpairs the cutoff can possibly
-// retain, via subspace iteration, with the trace supplying the total
-// variance for Eq. 1.
+// retain, via Lanczos, with the trace supplying the total variance for
+// Eq. 1.
 func (m *Miner) leadingPairs(scatter *matrix.Dense) (*eigen.System, float64, error) {
 	dim, _ := scatter.Dims()
 	var total float64
@@ -316,12 +334,12 @@ func (m *Miner) leadingPairs(scatter *matrix.Dense) (*eigen.System, float64, err
 		bound = m.maxK
 	}
 	if bound <= 0 {
-		return nil, 0, fmt.Errorf("core: subspace solver needs WithFixedK or WithMaxK")
+		return nil, 0, fmt.Errorf("core: Lanczos solver needs WithFixedK or WithMaxK")
 	}
 	if bound > dim {
 		bound = dim
 	}
-	sys, err := m.topK(scatter, bound)
+	sys, err := eigen.Lanczos(scatter, bound)
 	if err != nil {
 		return nil, 0, err
 	}

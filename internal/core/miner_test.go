@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"ratiorules/internal/eigen"
 	"ratiorules/internal/matrix"
+	"ratiorules/internal/stats"
 )
 
 // paperFig1 is the literal 5-customer bread/butter table of the paper's
@@ -167,21 +169,21 @@ func TestMinerTooFewRows(t *testing.T) {
 func TestMinerJacobiAgreesWithDefault(t *testing.T) {
 	x := randomCorrelated(rand.New(rand.NewSource(4)), 150, 6)
 	def, _ := NewMiner(WithFixedK(3))
-	jac, _ := NewMiner(WithFixedK(3), WithJacobiSolver())
 	r1, err := def.MineMatrix(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := jac.MineMatrix(x)
+	scatter, _ := stats.ScatterTwoPass(x)
+	jac, err := eigen.Jacobi(scatter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.EqualApproxVec(r1.Eigenvalues(), r2.Eigenvalues(), 1e-6*(1+r1.Eigenvalues()[0])) {
-		t.Errorf("eigenvalues differ: %v vs %v", r1.Eigenvalues(), r2.Eigenvalues())
+	if !matrix.EqualApproxVec(r1.Eigenvalues(), jac.Values[:3], 1e-6*(1+r1.Eigenvalues()[0])) {
+		t.Errorf("eigenvalues differ: %v vs %v", r1.Eigenvalues(), jac.Values[:3])
 	}
 	for i := 0; i < 3; i++ {
-		if !matrix.EqualApproxVec(r1.Rule(i), r2.Rule(i), 1e-6) {
-			t.Errorf("rule %d differs: %v vs %v", i, r1.Rule(i), r2.Rule(i))
+		if !matrix.EqualApproxVec(r1.Rule(i), jac.Vectors.Col(i), 1e-6) {
+			t.Errorf("rule %d differs: %v vs %v", i, r1.Rule(i), jac.Vectors.Col(i))
 		}
 	}
 }

@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"sync"
 
 	"ratiorules/internal/obs"
 	"ratiorules/internal/stats"
@@ -26,83 +23,19 @@ func (m *Miner) MineSharded(shards []RowSource) (*Rules, error) {
 		return nil, fmt.Errorf("core: MineSharded with no shards: %w", ErrWidth)
 	}
 	width := shards[0].Width()
-	if width <= 0 {
-		return nil, fmt.Errorf("core: shard width %d: %w", width, ErrWidth)
-	}
-	for i, s := range shards {
-		if s.Width() != width {
-			return nil, fmt.Errorf("core: shard %d width %d, want %d: %w",
-				i, s.Width(), width, ErrWidth)
-		}
-	}
-	if m.attrs != nil && len(m.attrs) != width {
-		return nil, fmt.Errorf("core: %d attribute names for width %d: %w",
-			len(m.attrs), width, ErrWidth)
-	}
-
-	accs := make([]*stats.CovAccumulator, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	scanTimer := obs.NewTimer(scanPhase)
+	fills := make([]func(*stats.CovAccumulator) error, len(shards))
 	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard RowSource) {
-			defer wg.Done()
+		if shard.Width() != width {
+			return nil, fmt.Errorf("core: shard %d width %d, want %d: %w",
+				i, shard.Width(), width, ErrWidth)
+		}
+		fills[i] = func(acc *stats.CovAccumulator) error {
 			defer obs.NewTimer(minerShardSeconds).ObserveDuration()
-			acc := stats.NewCovAccumulator(width)
-			for {
-				row, err := shard.Next()
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("core: shard %d: %w", i, err)
-					return
-				}
-				if err := acc.Push(row); err != nil {
-					errs[i] = fmt.Errorf("core: shard %d row %d: %w", i, acc.Count(), err)
-					return
-				}
+			if err := pushRows(shard, acc); err != nil {
+				return fmt.Errorf("core: shard %d: %w", i, err)
 			}
-			accs[i] = acc
-		}(i, shard)
-	}
-	wg.Wait()
-	scanElapsed := scanTimer.ObserveDuration()
-	for _, err := range errs {
-		if err != nil {
-			recordMine(0, width, 0, err)
-			return nil, err
+			return nil
 		}
 	}
-
-	mergeTimer := obs.NewTimer(mergePhase)
-	total := accs[0]
-	for _, acc := range accs[1:] {
-		if err := total.Merge(acc); err != nil {
-			recordMine(0, width, 0, err)
-			return nil, fmt.Errorf("core: merging shard accumulators: %w", err)
-		}
-	}
-	mergeTimer.ObserveDuration()
-	if total.Count() < 2 {
-		err := fmt.Errorf("core: mining needs at least 2 rows, got %d", total.Count())
-		recordMine(0, width, 0, err)
-		return nil, err
-	}
-	covTimer := obs.NewTimer(covariancePhase)
-	scatter, err := total.Scatter()
-	if err != nil {
-		recordMine(0, width, 0, err)
-		return nil, fmt.Errorf("core: building covariance: %w", err)
-	}
-	means, err := total.Means()
-	covTimer.ObserveDuration()
-	if err != nil {
-		recordMine(0, width, 0, err)
-		return nil, fmt.Errorf("core: computing column averages: %w", err)
-	}
-	rules, err := m.rulesFromScatter(context.Background(), scatter, means, total.Count())
-	recordMine(total.Count(), width, scanElapsed, err)
-	return rules, err
+	return m.mine(context.Background(), width, fills...)
 }

@@ -25,37 +25,20 @@ type SparseRowSource interface {
 // MineSparse streams sparse rows through the single-pass accumulator,
 // touching only nonzero cells: O(nnz²) work per row instead of O(M²). The
 // rules produced are identical to dense mining of the materialized matrix.
+// Every row must pass SparseVec.Validate.
 func (m *Miner) MineSparse(src SparseRowSource) (*Rules, error) {
-	width := src.Width()
-	if width <= 0 {
-		return nil, fmt.Errorf("core: sparse source width %d: %w", width, ErrWidth)
-	}
-	if m.attrs != nil && len(m.attrs) != width {
-		return nil, fmt.Errorf("core: %d attribute names for width %d: %w", len(m.attrs), width, ErrWidth)
-	}
-	acc := stats.NewCovAccumulator(width)
-	for {
-		row, err := src.NextSparse()
-		if errors.Is(err, io.EOF) {
-			break
+	return m.mine(context.Background(), src.Width(), func(acc *stats.CovAccumulator) error {
+		for {
+			row, err := src.NextSparse()
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("core: reading sparse rows: %w", err)
+			}
+			if err := acc.PushSparse(row); err != nil {
+				return fmt.Errorf("core: accumulating sparse row %d: %w", acc.Count(), err)
+			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading sparse rows: %w", err)
-		}
-		if err := acc.PushSparse(row); err != nil {
-			return nil, fmt.Errorf("core: accumulating sparse row %d: %w", acc.Count(), err)
-		}
-	}
-	if acc.Count() < 2 {
-		return nil, fmt.Errorf("core: mining needs at least 2 rows, got %d", acc.Count())
-	}
-	scatter, err := acc.Scatter()
-	if err != nil {
-		return nil, fmt.Errorf("core: building covariance: %w", err)
-	}
-	means, err := acc.Means()
-	if err != nil {
-		return nil, fmt.Errorf("core: computing column averages: %w", err)
-	}
-	return m.rulesFromScatter(context.Background(), scatter, means, acc.Count())
+	})
 }

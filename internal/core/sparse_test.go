@@ -103,6 +103,30 @@ func TestMineSparseQuestAgreesWithDense(t *testing.T) {
 	}
 }
 
+// badSparseRows are 3-wide rows that break SparseVec's invariants; the
+// fields are exported, so a SparseRowSource can yield them unchecked.
+var badSparseRows = map[string]matrix.SparseVec{
+	"unsorted":     {Len: 3, Idx: []int{2, 0}, Val: []float64{4, 1}},
+	"duplicate":    {Len: 3, Idx: []int{1, 1}, Val: []float64{2, 3}},
+	"out of range": {Len: 3, Idx: []int{0, 7}, Val: []float64{1, 5}},
+	"ragged":       {Len: 3, Idx: []int{0, 2}, Val: []float64{1}},
+}
+
+// rawSparseSource yields its rows as-is.
+type rawSparseSource struct {
+	rows []matrix.SparseVec
+	i    int
+}
+
+func (s *rawSparseSource) Width() int { return 3 }
+func (s *rawSparseSource) NextSparse() (matrix.SparseVec, error) {
+	if s.i >= len(s.rows) {
+		return matrix.SparseVec{}, io.EOF
+	}
+	s.i++
+	return s.rows[s.i-1], nil
+}
+
 func TestMineSparseValidation(t *testing.T) {
 	miner, _ := NewMiner()
 	if _, err := miner.MineSparse(&sliceSparseSource{m: matrix.NewDense(0, 0)}); !errors.Is(err, ErrWidth) {
@@ -115,6 +139,17 @@ func TestMineSparseValidation(t *testing.T) {
 	if _, err := named.MineSparse(&sliceSparseSource{m: matrix.NewDense(5, 3)}); !errors.Is(err, ErrWidth) {
 		t.Errorf("attr mismatch: err = %v, want ErrWidth", err)
 	}
+	good := []matrix.SparseVec{
+		{Len: 3, Idx: []int{0, 2}, Val: []float64{1, 2}},
+		{Len: 3, Idx: []int{1}, Val: []float64{3}},
+		{Len: 3, Idx: []int{0, 1, 2}, Val: []float64{2, 1, 4}},
+	}
+	for name, bad := range badSparseRows {
+		rows := append(append([]matrix.SparseVec(nil), good...), bad)
+		if _, err := miner.MineSparse(&rawSparseSource{rows: rows}); !errors.Is(err, matrix.ErrDimensionMismatch) {
+			t.Errorf("%s row: err = %v, want ErrDimensionMismatch", name, err)
+		}
+	}
 }
 
 func TestPushSparseValidation(t *testing.T) {
@@ -125,6 +160,14 @@ func TestPushSparseValidation(t *testing.T) {
 	bad := matrix.SparseVec{Len: 3, Idx: []int{1}, Val: []float64{nan()}}
 	if err := acc.PushSparse(bad); !errors.Is(err, stats.ErrBadValue) {
 		t.Errorf("NaN: err = %v, want ErrBadValue", err)
+	}
+	for name, row := range badSparseRows {
+		if err := acc.PushSparse(row); !errors.Is(err, matrix.ErrDimensionMismatch) {
+			t.Errorf("%s: err = %v, want ErrDimensionMismatch", name, err)
+		}
+	}
+	if acc.Count() != 0 {
+		t.Errorf("rejected rows were folded: count %d", acc.Count())
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -32,9 +33,10 @@ func fuzzSeedCheckpoint(t testing.TB, width int, decay float64, rows int) []byte
 
 // FuzzLoadStreamMiner throws mutated checkpoint bytes at the decoder:
 // it must never panic, and whenever it accepts an input, the restored
-// miner must survive a Save/Load round trip with identical counters and
-// identical sufficient statistics (Save is the canonical encoding, so a
-// fixed point after one hop proves the state was fully captured).
+// miner must have finite means once it holds two rows, and must survive
+// a Save/Load round trip with identical counters and identical
+// sufficient statistics (Save is the canonical encoding, so a fixed
+// point after one hop proves the state was fully captured).
 func FuzzLoadStreamMiner(f *testing.F) {
 	valid := fuzzSeedCheckpoint(f, 4, 0, 25)
 	decayed := fuzzSeedCheckpoint(f, 3, 0.25, 10)
@@ -44,6 +46,7 @@ func FuzzLoadStreamMiner(f *testing.F) {
 	f.Add(append([]byte("{"), valid...))                                    // broken framing
 	f.Add([]byte(`{}`))                                                     // empty document
 	f.Add([]byte(`{"version":1,"width":9999999,"sums":[1],"cross":[[1]]}`)) // absurd width
+	f.Add([]byte(`{"version":1,"width":1,"weight":1e-320,"count":5,"sums":[1],"cross":[[1]]}`))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x20 // bit flip in the payload
 	f.Add(flipped)
@@ -53,6 +56,17 @@ func FuzzLoadStreamMiner(f *testing.F) {
 		if err != nil {
 			return // rejected inputs just need to not panic
 		}
+		if sm.Count() >= 2 {
+			means, err := sm.acc.Means()
+			if err != nil {
+				t.Fatalf("Means of accepted checkpoint: %v", err)
+			}
+			for j, v := range means {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted checkpoint has non-finite mean %v in column %d", v, j)
+				}
+			}
+		}
 		var buf bytes.Buffer
 		if err := sm.Save(&buf); err != nil {
 			t.Fatalf("Save of accepted checkpoint failed: %v", err)
@@ -61,11 +75,11 @@ func FuzzLoadStreamMiner(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-Load of Save output failed: %v", err)
 		}
-		if again.width != sm.width || again.decay != sm.decay ||
-			again.count != sm.count || again.weight != sm.weight {
+		if again.Width() != sm.Width() || again.Decay() != sm.Decay() ||
+			again.Count() != sm.Count() || again.acc.State().Weight != sm.acc.State().Weight {
 			t.Fatalf("round trip changed state: %d/%v/%d/%v vs %d/%v/%d/%v",
-				again.width, again.decay, again.count, again.weight,
-				sm.width, sm.decay, sm.count, sm.weight)
+				again.Width(), again.Decay(), again.Count(), again.acc.State().Weight,
+				sm.Width(), sm.Decay(), sm.Count(), sm.acc.State().Weight)
 		}
 		var second bytes.Buffer
 		if err := again.Save(&second); err != nil {

@@ -73,16 +73,17 @@ func TestStreamMinerMergeDecayed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantWeight := a.weight * 2
-	wantSum0 := a.sums[0] * 2
+	wantWeight := a.acc.State().Weight * 2
+	wantSum0 := a.acc.State().Sums[0] * 2
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.weight-wantWeight) > 1e-12*wantWeight {
-		t.Errorf("merged weight = %v, want %v", a.weight, wantWeight)
+	merged := a.acc.State()
+	if math.Abs(merged.Weight-wantWeight) > 1e-12*wantWeight {
+		t.Errorf("merged weight = %v, want %v", merged.Weight, wantWeight)
 	}
-	if math.Abs(a.sums[0]-wantSum0) > 1e-12*math.Abs(wantSum0) {
-		t.Errorf("merged sums[0] = %v, want %v", a.sums[0], wantSum0)
+	if math.Abs(merged.Sums[0]-wantSum0) > 1e-12*math.Abs(wantSum0) {
+		t.Errorf("merged sums[0] = %v, want %v", merged.Sums[0], wantSum0)
 	}
 	if a.Count() != 100 {
 		t.Errorf("merged Count = %d, want 100", a.Count())
@@ -100,8 +101,8 @@ func TestStreamMinerMergeRejectsMismatches(t *testing.T) {
 		t.Error("decay mismatch must fail")
 	}
 	// Failed merges must not disturb the receiver.
-	if a.Count() != 0 || a.weight != 0 {
-		t.Errorf("failed merge mutated receiver: count %d, weight %v", a.Count(), a.weight)
+	if a.Count() != 0 || a.acc.State().Weight != 0 {
+		t.Errorf("failed merge mutated receiver: count %d, weight %v", a.Count(), a.acc.State().Weight)
 	}
 }
 

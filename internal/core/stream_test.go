@@ -140,6 +140,9 @@ func TestStreamMinerValidation(t *testing.T) {
 	if _, err := NewStreamMiner(2, 1); err == nil {
 		t.Error("decay = 1 must fail")
 	}
+	if _, err := NewStreamMiner(2, math.NaN()); err == nil {
+		t.Error("NaN decay must fail")
+	}
 	if _, err := NewStreamMiner(2, 0, WithEnergy(-1)); err == nil {
 		t.Error("bad option must fail")
 	}

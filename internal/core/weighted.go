@@ -28,38 +28,20 @@ type WeightedRowSource interface {
 // covariance sums with its multiplicity, so the result is identical to
 // mining the expanded table at a fraction of the cost.
 func (m *Miner) MineWeighted(src WeightedRowSource) (*Rules, error) {
-	width := src.Width()
-	if width <= 0 {
-		return nil, fmt.Errorf("core: weighted source width %d: %w", width, ErrWidth)
-	}
-	if m.attrs != nil && len(m.attrs) != width {
-		return nil, fmt.Errorf("core: %d attribute names for width %d: %w", len(m.attrs), width, ErrWidth)
-	}
-	acc := stats.NewCovAccumulator(width)
-	for {
-		wr, err := src.NextWeighted()
-		if errors.Is(err, io.EOF) {
-			break
+	return m.mine(context.Background(), src.Width(), func(acc *stats.CovAccumulator) error {
+		for {
+			wr, err := src.NextWeighted()
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("core: reading weighted rows: %w", err)
+			}
+			if err := acc.PushWeighted(wr.Row, wr.Weight); err != nil {
+				return fmt.Errorf("core: accumulating weighted row %d: %w", acc.Count(), err)
+			}
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: reading weighted rows: %w", err)
-		}
-		if err := acc.PushWeighted(wr.Row, wr.Weight); err != nil {
-			return nil, fmt.Errorf("core: accumulating weighted row %d: %w", acc.Count(), err)
-		}
-	}
-	if acc.Count() < 2 {
-		return nil, fmt.Errorf("core: mining needs at least 2 rows (weighted), got %d", acc.Count())
-	}
-	scatter, err := acc.Scatter()
-	if err != nil {
-		return nil, fmt.Errorf("core: building covariance: %w", err)
-	}
-	means, err := acc.Means()
-	if err != nil {
-		return nil, fmt.Errorf("core: computing column averages: %w", err)
-	}
-	return m.rulesFromScatter(context.Background(), scatter, means, acc.Count())
+	})
 }
 
 // WeightedSliceSource adapts an in-memory weighted table to

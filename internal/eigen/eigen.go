@@ -2,16 +2,18 @@
 // matrices, the "off-the-shelf eigensystem package" step of the Ratio Rules
 // pipeline (Fig. 2(b) of Korn et al., VLDB 1998).
 //
-// Two independent solvers are provided:
+// Three solvers are provided:
 //
 //   - SymEig: Householder tridiagonalization followed by the implicit-shift
-//     QL iteration (the EISPACK tred2/tql2 pair). This is the default,
-//     O(M³) with a small constant, and robust for the covariance matrices
-//     the miner produces.
+//     QL iteration (the EISPACK tred2/tql2 pair). This is the miner's full
+//     solve, O(M³) with a small constant, and robust for the covariance
+//     matrices the miner produces.
+//   - Lanczos: only the k leading pairs, for wide data (the paper's
+//     footnote 1); the miner's one leading-pairs option.
 //   - Jacobi: classical cyclic Jacobi rotations. Slower but simple and very
-//     accurate; retained as a cross-check in tests and an ablation baseline.
+//     accurate; the independent oracle the tests check SymEig against.
 //
-// Both return eigenvalues sorted in descending order together with the
+// All return eigenvalues sorted in descending order together with the
 // matching orthonormal eigenvectors, which is the order the Ratio Rules
 // cutoff (Eq. 1 of the paper) consumes them in.
 package eigen

@@ -17,27 +17,38 @@ type SparseVec struct {
 }
 
 // NewSparseVec builds a sparse vector from parallel index/value slices,
-// validating that indices are sorted, distinct and in range, and that the
-// slices have equal length. The slices are adopted, not copied.
+// checked by Validate. The slices are adopted, not copied.
 func NewSparseVec(length int, idx []int, val []float64) (SparseVec, error) {
-	if length < 0 {
-		return SparseVec{}, fmt.Errorf("matrix: sparse length %d: %w", length, ErrDimensionMismatch)
+	s := SparseVec{Len: length, Idx: idx, Val: val}
+	if err := s.Validate(); err != nil {
+		return SparseVec{}, err
 	}
-	if len(idx) != len(val) {
-		return SparseVec{}, fmt.Errorf("matrix: sparse with %d indices, %d values: %w",
-			len(idx), len(val), ErrDimensionMismatch)
+	return s, nil
+}
+
+// Validate checks the invariants every consumer relies on: a
+// non-negative length, equally long index and value slices, and indices
+// strictly increasing within [0, Len). The fields are exported, so a
+// vector built without NewSparseVec may break them.
+func (s SparseVec) Validate() error {
+	if s.Len < 0 {
+		return fmt.Errorf("matrix: sparse length %d: %w", s.Len, ErrDimensionMismatch)
 	}
-	for i, j := range idx {
-		if j < 0 || j >= length {
-			return SparseVec{}, fmt.Errorf("matrix: sparse index %d out of range [0,%d): %w",
-				j, length, ErrDimensionMismatch)
+	if len(s.Idx) != len(s.Val) {
+		return fmt.Errorf("matrix: sparse with %d indices, %d values: %w",
+			len(s.Idx), len(s.Val), ErrDimensionMismatch)
+	}
+	for i, j := range s.Idx {
+		if j < 0 || j >= s.Len {
+			return fmt.Errorf("matrix: sparse index %d out of range [0,%d): %w",
+				j, s.Len, ErrDimensionMismatch)
 		}
-		if i > 0 && idx[i-1] >= j {
-			return SparseVec{}, fmt.Errorf("matrix: sparse indices not strictly increasing at %d: %w",
+		if i > 0 && s.Idx[i-1] >= j {
+			return fmt.Errorf("matrix: sparse indices not strictly increasing at %d: %w",
 				i, ErrDimensionMismatch)
 		}
 	}
-	return SparseVec{Len: length, Idx: idx, Val: val}, nil
+	return nil
 }
 
 // SparsifyRow converts a dense row to sparse form, dropping cells with

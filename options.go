@@ -2,9 +2,7 @@ package ratiorules
 
 // The consolidated facade API: one Options struct configured by
 // functional setters drives mining, filling, cleaning and the batch
-// inference calls, replacing the older mix of positional entry points
-// (NewMiner + method chains, FillMatrix). The old names remain as thin
-// deprecated wrappers so existing callers compile.
+// inference calls.
 
 import (
 	"fmt"
@@ -98,9 +96,8 @@ func Workers(n int) Opt { return func(o *Options) { o.Workers = n } }
 // Sigma sets the outlier threshold in residual standard deviations.
 func Sigma(s float64) Opt { return func(o *Options) { o.Sigma = s } }
 
-// MinerOpts appends raw core mining options (WithJacobiSolver,
-// WithSubspaceSolver, ...) for configuration the named setters do not
-// cover.
+// MinerOpts appends raw core mining options (WithLanczosSolver, ...)
+// for configuration the named setters do not cover.
 func MinerOpts(opts ...Option) Opt {
 	return func(o *Options) { o.MinerOpts = append(o.MinerOpts, opts...) }
 }

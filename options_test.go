@@ -58,7 +58,7 @@ func TestMineWithOptions(t *testing.T) {
 
 	// CoreMiner lowers the same Opt setters onto the Miner surface.
 	miner, err := ratiorules.CoreMiner(ratiorules.FixedK(1),
-		ratiorules.MinerOpts(ratiorules.WithJacobiSolver()))
+		ratiorules.MinerOpts(ratiorules.WithLanczosSolver()))
 	if err != nil {
 		t.Fatalf("CoreMiner: %v", err)
 	}

@@ -116,15 +116,6 @@ const (
 	SolveQR = core.SolveQR
 )
 
-// NewMiner returns a Miner with the paper's defaults: single-pass
-// covariance accumulation, tred2/tql2 eigensolver and the 85% energy
-// cutoff.
-//
-// Deprecated: use Mine, MineRows or MineStream with Opt setters (raw
-// core options still apply through MinerOpts), or CoreMiner when the
-// Miner method surface itself is needed.
-func NewMiner(opts ...Option) (*Miner, error) { return core.NewMiner(opts...) }
-
 // WithEnergy sets the Eq. 1 variance-coverage threshold in (0, 1].
 func WithEnergy(fraction float64) Option { return core.WithEnergy(fraction) }
 
@@ -136,15 +127,6 @@ func WithMaxK(k int) Option { return core.WithMaxK(k) }
 
 // WithAttrNames attaches attribute names to the mined rules.
 func WithAttrNames(names []string) Option { return core.WithAttrNames(names) }
-
-// WithJacobiSolver selects the cyclic Jacobi eigensolver (slower; kept for
-// cross-checking and ablation).
-func WithJacobiSolver() Option { return core.WithJacobiSolver() }
-
-// WithSubspaceSolver extracts only the leading eigenpairs by block power
-// iteration — the strategy the paper's footnote 1 recommends for large M.
-// Requires WithFixedK or WithMaxK.
-func WithSubspaceSolver() Option { return core.WithSubspaceSolver() }
 
 // WithLanczosSolver extracts the leading eigenpairs with Lanczos (full
 // reorthogonalization), the fastest choice when k ≪ M. Requires
@@ -186,14 +168,6 @@ func NewMatrixSource(m *Matrix) RowSource { return core.NewMatrixSource(m) }
 
 // NewColAvgs builds the column-average competitor from training means.
 func NewColAvgs(means []float64) *ColAvgs { return core.NewColAvgs(means) }
-
-// FillMatrix repairs every Hole-marked cell of x in place using est and
-// reports how many cells were filled — the batch form of FillRow.
-//
-// Deprecated: use Clean, which runs the same repair through the batch
-// engine's worker pool and hole-pattern plan cache. FillMatrix remains
-// for non-Rules Estimators (e.g. ColAvgs).
-func FillMatrix(est Estimator, x *Matrix) (int, error) { return core.FillMatrix(est, x) }
 
 // GE1 is the single-hole guessing error of Def. 1 (Eq. 3): the RMS error
 // of reconstructing each cell of test from the rest of its row.

@@ -36,13 +36,9 @@ func grocery(n int, seed int64) *ratiorules.Matrix {
 	return x
 }
 
-func mustMine(t *testing.T, x *ratiorules.Matrix, opts ...ratiorules.Option) *ratiorules.Rules {
+func mustMine(t *testing.T, x *ratiorules.Matrix, opts ...ratiorules.Opt) *ratiorules.Rules {
 	t.Helper()
-	miner, err := ratiorules.NewMiner(opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := miner.MineMatrix(x)
+	rules, err := ratiorules.Mine(x, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +47,7 @@ func mustMine(t *testing.T, x *ratiorules.Matrix, opts ...ratiorules.Option) *ra
 
 func TestEndToEndMineAndFill(t *testing.T) {
 	x := grocery(500, 1)
-	rules := mustMine(t, x, ratiorules.WithAttrNames([]string{"bread", "milk", "butter"}))
+	rules := mustMine(t, x, ratiorules.AttrNames("bread", "milk", "butter"))
 	if rules.K() < 1 {
 		t.Fatalf("K = %d", rules.K())
 	}
@@ -106,11 +102,7 @@ func TestEndToEndSaveLoad(t *testing.T) {
 
 func TestEndToEndStreaming(t *testing.T) {
 	x := grocery(300, 5)
-	miner, err := ratiorules.NewMiner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := miner.Mine(ratiorules.NewMatrixSource(x))
+	rules, err := ratiorules.MineStream(ratiorules.NewMatrixSource(x))
 	if err != nil {
 		t.Fatal(err)
 	}
