@@ -276,7 +276,7 @@ func TestMaxVersionsPruning(t *testing.T) {
 }
 
 // TestConcurrentAccess exercises the store under the race detector
-// (make verify-store runs this package with -race -count=3).
+// (make verify runs this package race-enabled three times).
 func TestConcurrentAccess(t *testing.T) {
 	st, err := Open(t.TempDir(), WithNoSync(), WithSnapshotEvery(8))
 	if err != nil {
