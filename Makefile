@@ -53,13 +53,16 @@ verify:
 		./internal/cluster ./internal/replica ./internal/obs/fleet ./internal/obs/profile \
 		./internal/admission
 
-# fuzz runs each core fuzz target for FUZZTIME (default 10s). Go allows
-# one -fuzz pattern per invocation, hence the separate runs.
+# fuzz runs every fuzz target in the module for FUZZTIME (default 10s).
+# Go allows one -fuzz pattern per invocation, hence the separate runs.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFillRow$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWhatIf$$' -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadRules$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadStreamMiner$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
+	$(GO) test -run='^$$' -fuzz='^FuzzCSVSource$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 
 bench:
 	$(GO) run ./cmd/rrbench -experiment all

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"ratiorules"
-	"ratiorules/internal/core"
 	"ratiorules/internal/dataset"
 	"ratiorules/internal/experiments"
 	"ratiorules/internal/quest"
@@ -215,34 +214,6 @@ func BenchmarkAblationCovariance(b *testing.B) {
 			stats.ScatterTwoPass(ds.X)
 		}
 	})
-}
-
-// BenchmarkAblationFillSolvers compares the paper's pseudo-inverse
-// hole-filling against QR least squares on the over-specified case.
-func BenchmarkAblationFillSolvers(b *testing.B) {
-	ds := dataset.Baseball()
-	rules, err := ratiorules.Mine(ds.X, ratiorules.FixedK(3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := ds.X.Row(100)
-	holes := []int{2, 9}
-	for _, tc := range []struct {
-		name   string
-		solver core.FillSolver
-	}{
-		{"pseudo-inverse", ratiorules.SolvePseudoInverse},
-		{"qr", ratiorules.SolveQR},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rules.FillRowWith(row, holes, tc.solver); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationSparseMining compares dense vs sparse accumulation on

@@ -158,12 +158,11 @@ func TestRunJSONSummary(t *testing.T) {
 }
 
 // TestRunOutFile checks -out: the tables stay on stdout while the same
-// JSON summary — including the batch experiment's cache hit rate —
-// lands in the file.
+// JSON summary lands in the file.
 func TestRunOutFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var buf strings.Builder
-	args := []string{"-experiment", "batch", "-batch-rows", "500", "-batch-patterns", "4", "-out", path}
+	args := []string{"-experiment", "table2", "-out", path}
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +177,7 @@ func TestRunOutFile(t *testing.T) {
 	if err := json.Unmarshal(data, &sum); err != nil {
 		t.Fatalf("-out file is not valid JSON: %v\n%s", err, data)
 	}
-	if len(sum.Experiments) != 1 || sum.Experiments[0].Name != "batch" {
+	if len(sum.Experiments) != 1 || sum.Experiments[0].Name != "table2" {
 		t.Fatalf("experiments = %+v", sum.Experiments)
-	}
-	// 500 rows over 4 hole patterns: the fill-plan cache must see far
-	// more hits than misses.
-	if sum.Miner.CacheHitRate <= 0.5 || sum.Miner.CacheHitRate > 1 {
-		t.Errorf("cache_hit_rate = %v (fill_cache %v), want (0.5, 1]",
-			sum.Miner.CacheHitRate, sum.Miner.FillCache)
 	}
 }

@@ -12,13 +12,10 @@ import (
 	"ratiorules/internal/obs/trace"
 )
 
-// The batch inference engine amortizes the Sec. 4.4 solve across many
-// rows: a bounded worker pool drives fillCached, so a 10k-row batch with
-// a handful of distinct hole patterns pays each V′ factorization once
-// (see fillcache.go) and the per-row cost drops to a gather + mat-vec.
-// Results are delivered in input order with bounded buffering, which is
-// what lets the HTTP layer stream NDJSON without holding a batch in
-// memory.
+// The batch inference engine runs the Sec. 4.4 solves of many rows on a
+// bounded worker pool. Results are delivered in input order with bounded
+// buffering, which is what lets the HTTP layer stream NDJSON without
+// holding a batch in memory.
 
 // ErrNoResiduals is returned by per-row outlier scoring on rule sets
 // that predate the residual-deviation bands (legacy serialized models).
@@ -33,8 +30,6 @@ type BatchOptions struct {
 	// Workers bounds the concurrent solves; <= 0 selects
 	// DefaultBatchWorkers().
 	Workers int
-	// Solver picks the over-specified-case algorithm (fill/forecast).
-	Solver FillSolver
 	// Sigma is the outlier threshold in residual standard deviations;
 	// <= 0 selects DefaultOutlierSigma.
 	Sigma float64
@@ -107,7 +102,7 @@ type OutlierResult struct {
 }
 
 // BatchFill reconstructs a stream of records on a bounded worker pool,
-// reusing cached hole-pattern factorizations. Results arrive on the
+// one "fill.solve" span per row. Results arrive on the
 // returned channel in input order; in-flight buffering is bounded by the
 // pool width, so arbitrarily long streams run in constant memory. The
 // channel closes after the last result (or once ctx is cancelled);
@@ -126,7 +121,9 @@ func (r *Rules) BatchFill(ctx context.Context, jobs <-chan FillJob, opts BatchOp
 				}
 			}
 		}
-		filled, err := r.fillCachedCtx(rctx, j.Record, holes, opts.Solver)
+		_, ssp := trace.Start(rctx, "fill.solve")
+		filled, err := r.fill(j.Record, holes)
+		ssp.End()
 		sp.End()
 		fillOps.count(err)
 		return FillResult{Index: i, Filled: filled, Err: err}
@@ -146,41 +143,18 @@ func startRowSpan(ctx context.Context, op string, index int, wait time.Duration)
 }
 
 // BatchForecast answers a stream of forecasting queries on a bounded
-// worker pool. The hole pattern of a forecast is the complement of its
-// given set, so workloads that query the same attributes row after row
-// hit the plan cache just like batch fills. Delivery contract as in
-// BatchFill.
+// worker pool. Delivery contract as in BatchFill.
 func (r *Rules) BatchForecast(ctx context.Context, jobs <-chan ForecastJob, opts BatchOptions) <-chan ForecastResult {
 	return runOrdered(ctx, opts.workers(), jobs, func(ctx context.Context, i int, j ForecastJob, wait time.Duration) ForecastResult {
 		if j.Err != nil {
 			return ForecastResult{Index: i, Err: j.Err}
 		}
-		rctx, sp := startRowSpan(ctx, "forecast", i, wait)
-		v, err := r.forecastCached(rctx, j.Given, j.Target, opts.Solver)
+		_, sp := startRowSpan(ctx, "forecast", i, wait)
+		v, err := r.forecast(j.Given, j.Target)
 		sp.End()
 		forecastOps.count(err)
 		return ForecastResult{Index: i, Value: v, Err: err}
 	})
-}
-
-// forecastCached is Forecast through the plan cache.
-func (r *Rules) forecastCached(ctx context.Context, given map[int]float64, target int, solver FillSolver) (float64, error) {
-	if target < 0 || target >= r.M() {
-		return 0, fmt.Errorf("core: forecast target %d out of range [0,%d): %w",
-			target, r.M(), ErrBadHole)
-	}
-	if _, ok := given[target]; ok {
-		return 0, fmt.Errorf("core: forecast target %d is already given: %w", target, ErrBadHole)
-	}
-	row, holes, err := r.scenarioRow(Scenario{Given: given})
-	if err != nil {
-		return 0, err
-	}
-	full, err := r.fillCachedCtx(ctx, row, holes, solver)
-	if err != nil {
-		return 0, err
-	}
-	return full[target], nil
 }
 
 // BatchOutliers scores a stream of records for cell outliers on a
@@ -188,22 +162,20 @@ func (r *Rules) forecastCached(ctx context.Context, given map[int]float64, targe
 // a full matrix to estimate residual scales from the batch itself —
 // the streaming form scores each cell against the model's training
 // residual deviation (ResidualStd), so one row can be judged in
-// isolation. Every cell probe is a single-hole pattern, which the plan
-// cache reduces to M factorizations for the whole stream. Delivery
+// isolation. A row's M cell probes cost one projection. Delivery
 // contract as in BatchFill.
 func (r *Rules) BatchOutliers(ctx context.Context, jobs <-chan OutlierJob, opts BatchOptions) <-chan OutlierResult {
 	sigma := opts.Sigma
 	if sigma <= 0 {
 		sigma = DefaultOutlierSigma
 	}
+	loo, lerr := r.newLOO()
 	return runOrdered(ctx, opts.workers(), jobs, func(ctx context.Context, i int, j OutlierJob, wait time.Duration) OutlierResult {
 		if j.Err != nil {
 			return OutlierResult{Index: i, Err: j.Err}
 		}
-		// Cell probes stay span-less on purpose: M single-hole fills per
-		// row would blow the per-trace span cap on the first few rows.
 		_, sp := startRowSpan(ctx, "outliers", i, wait)
-		cells, err := r.rowCellOutliers(j.Record, sigma, i)
+		cells, err := r.rowCellOutliers(loo, lerr, j.Record, sigma, i)
 		sp.End()
 		outlierOps.count(err)
 		return OutlierResult{Index: i, Outliers: cells, Err: err}
@@ -219,12 +191,15 @@ func (r *Rules) RowCellOutliers(row []float64, sigma float64) ([]CellOutlier, er
 	if sigma <= 0 {
 		sigma = DefaultOutlierSigma
 	}
-	out, err := r.rowCellOutliers(row, sigma, 0)
+	loo, lerr := r.newLOO()
+	out, err := r.rowCellOutliers(loo, lerr, row, sigma, 0)
 	outlierOps.count(err)
 	return out, err
 }
 
-func (r *Rules) rowCellOutliers(row []float64, sigma float64, rowIdx int) ([]CellOutlier, error) {
+// rowCellOutliers scores one row with a single-hole solver; lerr is the
+// error newLOO returned for it, reported after the request checks.
+func (r *Rules) rowCellOutliers(loo *looSolver, lerr error, row []float64, sigma float64, rowIdx int) ([]CellOutlier, error) {
 	m := r.M()
 	if len(row) != m {
 		return nil, fmt.Errorf("core: record width %d, want %d: %w", len(row), m, ErrWidth)
@@ -232,25 +207,21 @@ func (r *Rules) rowCellOutliers(row []float64, sigma float64, rowIdx int) ([]Cel
 	if r.residStd == nil {
 		return nil, fmt.Errorf("core: per-row outlier scoring needs residual bands: %w", ErrNoResiduals)
 	}
+	if lerr != nil {
+		return nil, lerr
+	}
 	var out []CellOutlier
-	hole := make([]int, 1)
-	for j := 0; j < m; j++ {
+	for j, d := range loo.errs(row, loo.scratch()) {
 		std := r.residStd[j]
 		if std == 0 {
 			continue
 		}
-		hole[0] = j
-		filled, err := r.fillCached(row, hole, SolvePseudoInverse)
-		if err != nil {
-			return nil, fmt.Errorf("core: reconstructing cell %d: %w", j, err)
-		}
-		score := math.Abs(row[j]-filled[j]) / std
-		if score >= sigma {
+		if score := math.Abs(d) / std; score >= sigma {
 			out = append(out, CellOutlier{
 				Row:       rowIdx,
 				Col:       j,
 				Actual:    row[j],
-				Predicted: filled[j],
+				Predicted: row[j] - d,
 				Score:     score,
 			})
 		}

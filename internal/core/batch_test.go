@@ -217,3 +217,62 @@ func TestBatchFillContextCancel(t *testing.T) {
 	}
 	<-done
 }
+
+// TestFillCachedMatchesFill drives the batch engine over every Sec. 4.4
+// case (exact, over- and under-specified, all holes, none) and checks it
+// agrees with the one-shot FillRow.
+func TestFillCachedMatchesFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	x := planeData(rng, 200, 8, 3)
+	rules := mineK(t, x, 3)
+	patterns := [][]int{
+		{0},                      // over-specified
+		{6, 2},                   // over-specified, unsorted on purpose
+		{0, 1, 2, 3, 4},          // exactly specified (known = k = 3)
+		{0, 1, 2, 3, 4, 5},       // under-specified (Case 3)
+		{7, 6, 5, 4, 3, 2, 1, 0}, // everything hidden -> column means
+		{},                       // no holes
+	}
+	var rows [][]float64
+	var holes [][]int
+	for _, h := range patterns {
+		for trial := 0; trial < 5; trial++ {
+			rows = append(rows, x.Row(rng.Intn(200)))
+			holes = append(holes, h)
+		}
+	}
+	for i, res := range rules.BatchFillSlice(rows, holes, BatchOptions{Workers: 3}) {
+		if res.Err != nil {
+			t.Fatalf("row %d holes %v: %v", i, holes[i], res.Err)
+		}
+		want, err := rules.FillRow(rows[i], holes[i])
+		if err != nil {
+			t.Fatalf("FillRow(%v): %v", holes[i], err)
+		}
+		for j := range want {
+			if math.Abs(want[j]-res.Filled[j]) > 1e-9*(1+math.Abs(want[j])) {
+				t.Fatalf("holes %v cell %d: batch %g, FillRow %g", holes[i], j, res.Filled[j], want[j])
+			}
+		}
+	}
+}
+
+// TestFillCachedValidation checks the batch engine reports FillRow's
+// errors per row.
+func TestFillCachedValidation(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	x := planeData(rng, 50, 4, 2)
+	rules := mineK(t, x, 2)
+	rows := [][]float64{{1, 2}, make([]float64, 4), make([]float64, 4)}
+	holes := [][]int{{0}, {4}, {1, 1}}
+	res := rules.BatchFillSlice(rows, holes, BatchOptions{Workers: 2})
+	if !errors.Is(res[0].Err, ErrWidth) {
+		t.Errorf("short record: got %v, want ErrWidth", res[0].Err)
+	}
+	if !errors.Is(res[1].Err, ErrBadHole) {
+		t.Errorf("out-of-range hole: got %v, want ErrBadHole", res[1].Err)
+	}
+	if !errors.Is(res[2].Err, ErrBadHole) {
+		t.Errorf("duplicate hole: got %v, want ErrBadHole", res[2].Err)
+	}
+}

@@ -9,8 +9,8 @@ import (
 
 // TestBatchFillSpanParentage drives a batch fill under an active trace
 // and checks that every per-row span recorded by a pool worker parents
-// to the caller's span — the ctx hop through runOrdered — and that the
-// fill-cache spans parent to their row.
+// to the caller's span — the ctx hop through runOrdered — and that each
+// row's fill.solve span parents to its row.
 func TestBatchFillSpanParentage(t *testing.T) {
 	rules, data := batchFixture(t, 21, 6, 5, 2)
 
@@ -40,7 +40,7 @@ func TestBatchFillSpanParentage(t *testing.T) {
 	for _, sp := range td.Spans {
 		spanByID[sp.SpanID] = sp
 	}
-	var rowSpans, cacheSpans, solveSpans int
+	var rowSpans, solveSpans int
 	for _, sp := range td.Spans {
 		switch sp.Name {
 		case "batch.row":
@@ -61,21 +61,19 @@ func TestBatchFillSpanParentage(t *testing.T) {
 			if _, ok := attrs["queue_wait_us"]; !ok {
 				t.Fatalf("batch.row missing queue_wait_us: %v", sp.Attrs)
 			}
-		case "fill.cache":
-			cacheSpans++
-			parent, ok := spanByID[sp.ParentID]
-			if !ok || parent.Name != "batch.row" {
-				t.Fatalf("fill.cache parented to %+v", parent)
-			}
 		case "fill.solve":
 			solveSpans++
+			parent, ok := spanByID[sp.ParentID]
+			if !ok || parent.Name != "batch.row" {
+				t.Fatalf("fill.solve parented to %+v", parent)
+			}
 		}
 	}
 	if rowSpans != rows {
 		t.Fatalf("recorded %d batch.row spans, want %d", rowSpans, rows)
 	}
-	if cacheSpans != rows || solveSpans != rows {
-		t.Fatalf("cache/solve spans = %d/%d, want %d each", cacheSpans, solveSpans, rows)
+	if solveSpans != rows {
+		t.Fatalf("recorded %d fill.solve spans, want %d", solveSpans, rows)
 	}
 }
 

@@ -13,19 +13,6 @@ var Hole = math.NaN()
 // IsHole reports whether a cell value is the Hole marker.
 func IsHole(v float64) bool { return math.IsNaN(v) }
 
-// FillSolver selects the algorithm used for the over-specified case
-// (Case 2 of Sec. 4.4).
-type FillSolver int
-
-const (
-	// SolvePseudoInverse uses the Moore–Penrose pseudo-inverse via SVD, as
-	// the paper prescribes (Eqs. 7–9). This is the default.
-	SolvePseudoInverse FillSolver = iota
-	// SolveQR uses Householder QR least squares; an ablation alternative
-	// that agrees with the pseudo-inverse whenever V′ has full column rank.
-	SolveQR
-)
-
 // Estimator is anything that can reconstruct hidden cells of a record.
 // The guessing error (Sec. 4.3) is defined for any Estimator, which is how
 // the paper's col-avgs competitor and the Ratio Rules method share one
@@ -51,17 +38,11 @@ type Estimator interface {
 //     is exactly specified, then solve (Case 3).
 //
 // With k = 0 (or when every cell is a hole) the prediction degenerates to
-// the column averages, which is exactly the col-avgs competitor.
+// the column averages, which is exactly the col-avgs competitor. The
+// solves take the closed forms of solve.go, falling back to the paper's
+// pseudo-inverse where V′ is ill-conditioned.
 func (r *Rules) FillRow(row []float64, holes []int) ([]float64, error) {
-	out, err := r.fill(row, holes, SolvePseudoInverse)
-	fillOps.count(err)
-	return out, err
-}
-
-// FillRowWith is FillRow with an explicit solver for the over-specified
-// case, exposed for the solver ablation.
-func (r *Rules) FillRowWith(row []float64, holes []int, solver FillSolver) ([]float64, error) {
-	out, err := r.fill(row, holes, solver)
+	out, err := r.fill(row, holes)
 	fillOps.count(err)
 	return out, err
 }
@@ -82,41 +63,40 @@ func (r *Rules) FillRecord(record []float64) ([]float64, error) {
 	return r.FillRow(record, holes)
 }
 
-// fill runs one uncached solve: the case analysis and V′ factorization
-// of buildPlan followed by a single applyPlan. The batch engine takes
-// the same two steps through the hole-pattern plan cache (fillCached),
-// amortizing buildPlan across every row that shares a pattern.
-func (r *Rules) fill(row []float64, holes []int, solver FillSolver) ([]float64, error) {
+// fill is the uncounted body of FillRow, shared by every fill path.
+func (r *Rules) fill(row []float64, holes []int) ([]float64, error) {
 	m := r.M()
 	if len(row) != m {
 		return nil, fmt.Errorf("core: record width %d, want %d: %w", len(row), m, ErrWidth)
 	}
-	if err := validateHoles(holes, m); err != nil {
-		return nil, err
-	}
-	plan, err := r.buildPlan(SortedHoles(holes), solver)
+	isHole, err := holeMask(holes, m)
 	if err != nil {
 		return nil, err
 	}
-	return r.applyPlan(plan, row)
+	out := append([]float64(nil), row...)
+	if err := r.fillHoles(row, holes, isHole, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// validateHoles rejects out-of-range and duplicate hole indices.
-func validateHoles(holes []int, m int) error {
+// holeMask flags the holes over m attributes, rejecting out-of-range and
+// duplicate indices.
+func holeMask(holes []int, m int) ([]bool, error) {
 	if len(holes) > m {
-		return fmt.Errorf("core: %d holes for %d attributes: %w", len(holes), m, ErrBadHole)
+		return nil, fmt.Errorf("core: %d holes for %d attributes: %w", len(holes), m, ErrBadHole)
 	}
-	seen := make(map[int]bool, len(holes))
+	isHole := make([]bool, m)
 	for _, j := range holes {
 		if j < 0 || j >= m {
-			return fmt.Errorf("core: hole index %d out of range [0,%d): %w", j, m, ErrBadHole)
+			return nil, fmt.Errorf("core: hole index %d out of range [0,%d): %w", j, m, ErrBadHole)
 		}
-		if seen[j] {
-			return fmt.Errorf("core: duplicate hole index %d: %w", j, ErrBadHole)
+		if isHole[j] {
+			return nil, fmt.Errorf("core: duplicate hole index %d: %w", j, ErrBadHole)
 		}
-		seen[j] = true
+		isHole[j] = true
 	}
-	return nil
+	return isHole, nil
 }
 
 // BandedFill is a reconstruction with a 1-sigma uncertainty band per
@@ -177,7 +157,7 @@ func (c *ColAvgs) FillRow(row []float64, holes []int) ([]float64, error) {
 	if len(row) != len(c.means) {
 		return nil, fmt.Errorf("core: record width %d, want %d: %w", len(row), len(c.means), ErrWidth)
 	}
-	if err := validateHoles(holes, len(c.means)); err != nil {
+	if _, err := holeMask(holes, len(c.means)); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(row))

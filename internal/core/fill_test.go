@@ -332,46 +332,6 @@ func TestColAvgsEstimator(t *testing.T) {
 	}
 }
 
-// Property: QR and pseudo-inverse solvers agree on over-specified fills
-// with full-rank rule subsets.
-func TestFillSolverAgreementProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 4 + rng.Intn(4)
-		k := 1 + rng.Intn(2)
-		x := planeData(rng, 80, m, k)
-		// Add noise so rows are near but not on the plane.
-		for i := 0; i < 80; i++ {
-			row := x.RawRow(i)
-			for j := range row {
-				row[j] += rng.NormFloat64() * 0.3
-			}
-		}
-		miner, err := NewMiner(WithFixedK(k))
-		if err != nil {
-			return false
-		}
-		rules, err := miner.MineMatrix(x)
-		if err != nil {
-			return false
-		}
-		row := x.Row(rng.Intn(80))
-		holes := []int{rng.Intn(m)} // h=1, M−h > k: over-specified
-		a, err := rules.FillRowWith(row, holes, SolvePseudoInverse)
-		if err != nil {
-			return false
-		}
-		b, err := rules.FillRowWith(row, holes, SolveQR)
-		if err != nil {
-			return false
-		}
-		return matrix.EqualApproxVec(a, b, 1e-7*(1+matrix.Norm2(a)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: filled rows lie exactly on the RR-hyperplane when every cell is
 // reconstructed from the others (residual orthogonal to discarded space is
 // not guaranteed, but the hole cells are linear in xconcept, so refilling

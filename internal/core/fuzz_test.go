@@ -1,14 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // FuzzFillRow checks that hole filling never panics, never corrupts known
-// cells and always returns finite values, for arbitrary records and hole
-// sets against a fixed mined rule set.
+// cells, always returns finite values and agrees with the SVD reference,
+// for arbitrary records and hole sets against a fixed mined rule set.
 func FuzzFillRow(f *testing.F) {
 	rng := rand.New(rand.NewSource(99))
 	x := planeData(rng, 150, 5, 2)
@@ -58,6 +59,16 @@ func FuzzFillRow(f *testing.F) {
 				t.Fatalf("known cell %d changed: %v -> %v", j, row[j], v)
 			}
 		}
+		want := svdRef(t, rules, row, holes)
+		var scale float64
+		for j := range row {
+			scale = math.Max(scale, math.Max(math.Abs(row[j]), math.Abs(want[j])))
+		}
+		for j := range want {
+			if math.Abs(out[j]-want[j]) > 1e-9*math.Max(scale, 1) {
+				t.Fatalf("cell %d: closed form %v, SVD %v (row %v holes %v)", j, out[j], want[j], row, holes)
+			}
+		}
 	})
 }
 
@@ -92,6 +103,96 @@ func FuzzWhatIf(f *testing.F) {
 		}
 		if out[attr] != value {
 			t.Fatalf("given attr changed: %v -> %v", value, out[attr])
+		}
+	})
+}
+
+// FuzzLoadRules checks that Load never panics and that every rule set it
+// accepts keeps the invariants the solves assume (VᵗV = I to within
+// orthoTol; finite, non-negative, descending eigenvalues), re-saves
+// byte-identically, and fills a fixed finite row with finite values.
+func FuzzLoadRules(f *testing.F) {
+	miner, err := NewMiner()
+	if err != nil {
+		f.Fatal(err)
+	}
+	mined, err := miner.MineMatrix(planeData(rand.New(rand.NewSource(97)), 60, 4, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mined.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"means":[0,0,0],"eigenvalues":[1],"total_variance":1,"trained_rows":10,"vectors":[[0.5],[0.5],[0.5]]}`))
+	f.Add([]byte(`{"means":[0,0],"eigenvalues":[1,2],"vectors":[[1,0],[0,1]]}`))
+	f.Add([]byte(`{"means":[1,2],"eigenvalues":[3],"vectors":[[1],[0]],"residual_std":[0,1]}`))
+	f.Add([]byte(`{"means":[],"eigenvalues":[],"vectors":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		m, k := r.M(), r.K()
+		for i, l := range r.eigenvalues {
+			if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 || i > 0 && l > r.eigenvalues[i-1] {
+				t.Fatalf("accepted eigenvalues %v", r.eigenvalues)
+			}
+		}
+		for c := 0; c < k; c++ {
+			for d := 0; d < k; d++ {
+				var s float64
+				for j := 0; j < m; j++ {
+					s += r.v.At(j, c) * r.v.At(j, d)
+				}
+				if c == d {
+					s--
+				}
+				if !(math.Abs(s) <= orthoTol) {
+					t.Fatalf("accepted VᵗV − I = %v at (%d,%d)", s, c, d)
+				}
+			}
+		}
+		var once, twice bytes.Buffer
+		if err := r.Save(&once); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Load(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-loading a saved model: %v", err)
+		}
+		if err := back.Save(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-save differs:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+		// Means beyond 1e200 leave the centred row's dot products no
+		// headroom below the float range; that is overflow, not a defect
+		// of the model or the solve.
+		for _, mu := range r.means {
+			if math.Abs(mu) > 1e200 {
+				return
+			}
+		}
+		row := make([]float64, m)
+		for j := range row {
+			row[j] = float64(j%7) - 3
+		}
+		for _, holes := range [][]int{{0}, seq(0, m/2), seq(0, m)} {
+			if m == 0 {
+				break
+			}
+			out, err := r.FillRow(row, holes)
+			if err != nil {
+				t.Fatalf("FillRow(%v): %v", holes, err)
+			}
+			for j, v := range out {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("FillRow(%v) cell %d = %v", holes, j, v)
+				}
+			}
 		}
 	})
 }

@@ -12,6 +12,10 @@ import (
 // cell of the test matrix, pretend it is hidden, reconstruct it from the
 // rest of its row with est, and return the root-mean-square of the
 // reconstruction errors over all N·M cells.
+//
+// For a *Rules estimator the M single-hole errors of a row come from one
+// projection (the leave-one-out identity of solve.go), so GE₁ costs
+// O(M·k) per row; other estimators fill cell by cell.
 func GE1(est Estimator, test *matrix.Dense) (float64, error) {
 	n, m := test.Dims()
 	if m != est.Width() {
@@ -22,22 +26,48 @@ func GE1(est Estimator, test *matrix.Dense) (float64, error) {
 		return 0, nil
 	}
 	var sum float64
-	hole := make([]int, 1)
-	for i := 0; i < n; i++ {
-		row := test.RawRow(i)
-		for j := 0; j < m; j++ {
-			hole[0] = j
-			filled, err := est.FillRow(row, hole)
-			if err != nil {
-				return 0, fmt.Errorf("core: GE1 at cell (%d,%d): %w", i, j, err)
+	if r, ok := est.(*Rules); ok {
+		loo, err := r.newLOO()
+		if err != nil {
+			return 0, fmt.Errorf("core: GE1: %w", err)
+		}
+		sc := loo.scratch()
+		for i := 0; i < n; i++ {
+			for _, d := range loo.errs(test.RawRow(i), sc) {
+				sum += d * d
 			}
-			d := filled[j] - row[j]
-			sum += d * d
+		}
+	} else {
+		hole := make([]int, 1)
+		for i := 0; i < n; i++ {
+			row := test.RawRow(i)
+			for j := 0; j < m; j++ {
+				hole[0] = j
+				filled, err := est.FillRow(row, hole)
+				if err != nil {
+					return 0, fmt.Errorf("core: GE1 at cell (%d,%d): %w", i, j, err)
+				}
+				d := filled[j] - row[j]
+				sum += d * d
+			}
 		}
 	}
 	ge := math.Sqrt(sum / float64(n*m))
 	recordGE("ge1", 1, ge)
 	return ge, nil
+}
+
+// GEOptions is kept so existing GE1With callers compile; it has no
+// fields.
+//
+// Deprecated: call GE1.
+type GEOptions struct{}
+
+// GE1With computes GE1.
+//
+// Deprecated: call GE1.
+func GE1With(est Estimator, test *matrix.Dense, _ GEOptions) (float64, error) {
+	return GE1(est, test)
 }
 
 // GEhConfig controls the h-hole guessing error computation.

@@ -270,3 +270,61 @@ func seq(lo, hi int) []int {
 	}
 	return out
 }
+
+func minedRulesForGE(t *testing.T, n, m int) (*Rules, *matrix.Dense) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	x := randomCorrelated(rng, n, m)
+	miner, err := NewMiner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules, err := miner.MineMatrix(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test := randomCorrelated(rng, n/2, m)
+	return rules, test
+}
+
+// GE1With is a deprecated forward: bit-identical to GE1.
+func TestGE1WithMatchesGE1(t *testing.T) {
+	rules, test := minedRulesForGE(t, 200, 8)
+	want, err := GE1(rules, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := GE1With(rules, test, GEOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("GE1With %v != GE1 %v", got, want)
+	}
+}
+
+// Non-*Rules estimators take the plain GE1 path unchanged.
+func TestGE1WithColAvgsFallback(t *testing.T) {
+	rules, test := minedRulesForGE(t, 120, 5)
+	avgs := NewColAvgs(rules.Means())
+	want, err := GE1(avgs, test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := GE1With(avgs, test, GEOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("fallback GE1With %v != GE1 %v", got, want)
+	}
+}
+
+func TestGE1WithWidthMismatch(t *testing.T) {
+	rules, _ := minedRulesForGE(t, 80, 4)
+	rng := rand.New(rand.NewSource(1))
+	wrong := randomCorrelated(rng, 10, 5)
+	if _, err := GE1With(rules, wrong, GEOptions{}); err == nil {
+		t.Fatal("want width-mismatch error")
+	}
+}

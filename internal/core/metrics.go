@@ -17,10 +17,11 @@ import (
 //	eigensolve  the eigensystem of the scatter matrix
 //
 // rr_ops_total counts public query operations (fill, forecast, whatif,
-// outliers, project) with result="ok"|"error". The guessing-error
-// harness (GE1/GEh) drives fills through the Estimator interface, so
-// evaluation runs inflate the fill counters by design — they really
-// are fill operations.
+// outliers, project) with result="ok"|"error". GEh, and GE1 with an
+// estimator other than *Rules, drive fills through the Estimator
+// interface, so those evaluation runs inflate the fill counters by
+// design — they really are fill operations. GE1 on *Rules solves in
+// closed form and books no fills.
 var (
 	minerPhaseSeconds = obs.Default().HistogramVec("rr_miner_phase_seconds",
 		"Wall-clock seconds per mining phase.", obs.DefBuckets, "phase")
@@ -44,16 +45,6 @@ var (
 
 	geGauge = obs.Default().GaugeVec("rr_guessing_error",
 		"Most recent guessing error by definition and hole count.", "def", "holes")
-
-	// Hole-pattern solver cache traffic (see fillcache.go): hits reuse a
-	// V′ factorization, misses pay the O(M·k²) build, evictions count
-	// LRU pressure beyond DefaultFillCacheCap.
-	fillCacheHits = obs.Default().Counter("rr_fill_cache_hits_total",
-		"Batch fills served from a cached hole-pattern factorization.")
-	fillCacheMisses = obs.Default().Counter("rr_fill_cache_misses_total",
-		"Batch fills that had to factor V' for a new hole pattern.")
-	fillCacheEvictions = obs.Default().Counter("rr_fill_cache_evictions_total",
-		"Hole-pattern plans evicted from the LRU cache.")
 )
 
 // Phase children and op counters are resolved once so hot paths pay a

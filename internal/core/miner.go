@@ -303,14 +303,16 @@ func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, mea
 			residStd[j] = math.Sqrt(resid / denom)
 		}
 	}
+	v := sys.Vectors.SelectCols(cols)
 	return &Rules{
 		attrs:         m.attrs,
 		means:         means,
-		v:             sys.Vectors.SelectCols(cols),
+		v:             v,
 		eigenvalues:   append([]float64(nil), sys.Values[:k]...),
 		totalVariance: total,
 		trainedRows:   n,
 		residStd:      residStd,
+		lev:           leverages(v),
 	}, nil
 }
 

@@ -359,6 +359,22 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 			}
 		})
 	}
+	// Rule sets the closed-form solves would answer differently from
+	// least squares: VᵗV ≠ I, or a spectrum Case 3 would misorder.
+	bad := map[string]string{
+		"not unit":       `{"means":[0,0,0],"eigenvalues":[1],"total_variance":1,"trained_rows":10,"vectors":[[0.5],[0.5],[0.5]]}`,
+		"not orthogonal": `{"means":[0,0],"eigenvalues":[2,1],"vectors":[[0.6,0.8],[0.8,0.6]]}`,
+		"k > M":          `{"means":[0],"eigenvalues":[1,1],"vectors":[[1,0]]}`,
+		"ascending":      `{"means":[0,0],"eigenvalues":[1,2],"vectors":[[1,0],[0,1]]}`,
+		"negative":       `{"means":[0,0],"eigenvalues":[-1],"vectors":[[1],[0]]}`,
+	}
+	for name, in := range bad {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Load(strings.NewReader(in)); !errors.Is(err, ErrBadRules) {
+				t.Errorf("got %v, want ErrBadRules", err)
+			}
+		})
+	}
 }
 
 // randomCorrelated builds n rows of m correlated attributes: a couple of

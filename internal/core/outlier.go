@@ -47,18 +47,14 @@ func (r *Rules) cellOutliers(x *matrix.Dense, sigma float64) ([]CellOutlier, err
 		sigma = DefaultOutlierSigma
 	}
 	// First pass: reconstruct every cell and collect residuals per column.
+	loo, err := r.newLOO()
+	if err != nil {
+		return nil, err
+	}
+	sc := loo.scratch()
 	resid := matrix.NewDense(n, m)
-	hole := make([]int, 1)
 	for i := 0; i < n; i++ {
-		row := x.RawRow(i)
-		for j := 0; j < m; j++ {
-			hole[0] = j
-			filled, err := r.fill(row, hole, SolvePseudoInverse)
-			if err != nil {
-				return nil, fmt.Errorf("core: reconstructing cell (%d,%d): %w", i, j, err)
-			}
-			resid.Set(i, j, row[j]-filled[j])
-		}
+		resid.SetRow(i, loo.errs(x.RawRow(i), sc))
 	}
 	// Per-column residual scale.
 	stds := make([]float64, m)

@@ -38,6 +38,10 @@ var (
 	ErrBadHole = errors.New("core: invalid hole index")
 	// ErrWidth indicates a record whose width differs from the rules'.
 	ErrWidth = errors.New("core: record width mismatch")
+	// ErrBadRules indicates a serialized rule set the solves cannot
+	// trust: rule vectors that are not orthonormal, or eigenvalues that
+	// are non-finite, negative or not descending.
+	ErrBadRules = errors.New("core: invalid rule set")
 )
 
 // Rules is a mined set of Ratio Rules: the k strongest eigenvectors of the
@@ -67,12 +71,9 @@ type Rules struct {
 	// RR-hyperplane along attribute j, and hence the uncertainty of a
 	// reconstructed cell. Nil for rule sets loaded from pre-band formats.
 	residStd []float64
-	// plans caches hole-pattern solver factorizations for the batch
-	// inference engine (see fillcache.go). Living on the rule set makes
-	// the cache version-safe: a re-mined or rolled-back model is a fresh
-	// *Rules with an empty cache. The zero value is ready to use, so the
-	// rule constructors need no extra wiring.
-	plans planCache
+	// lev[j] is attribute j's leverage for the single-hole solves (see
+	// leverages), computed once where the rule set is built.
+	lev []float64
 }
 
 // K reports the number of retained rules.
@@ -240,7 +241,13 @@ func (r *Rules) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a rule set previously written by Save.
+// orthoTol bounds max|VᵗV − I| for a loaded rule set. Mined models sit
+// below 1e-13; the closed-form solves assume VᵗV = I.
+const orthoTol = 1e-9
+
+// Load reads a rule set previously written by Save. It fails with
+// ErrBadRules when the vectors are not orthonormal to within orthoTol or
+// the eigenvalues are non-finite, negative or not descending.
 func Load(rd io.Reader) (*Rules, error) {
 	var j rulesJSON
 	if err := json.NewDecoder(rd).Decode(&j); err != nil {
@@ -267,6 +274,9 @@ func Load(rd io.Reader) (*Rules, error) {
 		return nil, fmt.Errorf("core: loading rules: %d residual stds for %d means: %w",
 			len(j.ResidualStd), len(j.Means), ErrWidth)
 	}
+	if err := checkRules(v, j.Eigenvalues); err != nil {
+		return nil, fmt.Errorf("core: loading rules: %w", err)
+	}
 	return &Rules{
 		attrs:         j.Attrs,
 		means:         j.Means,
@@ -275,5 +285,36 @@ func Load(rd io.Reader) (*Rules, error) {
 		totalVariance: j.TotalVariance,
 		trainedRows:   j.TrainedRows,
 		residStd:      j.ResidualStd,
+		lev:           leverages(v),
 	}, nil
+}
+
+// checkRules enforces what the solves assume of an M×k rule matrix v and
+// its eigenvalues: VᵗV = I, and a finite, non-negative, descending
+// spectrum (Case 3 keeps the leading rules).
+func checkRules(v *matrix.Dense, eigenvalues []float64) error {
+	for i, l := range eigenvalues {
+		if math.IsNaN(l) || math.IsInf(l, 0) || l < 0 {
+			return fmt.Errorf("eigenvalue %d is %v: %w", i, l, ErrBadRules)
+		}
+		if i > 0 && l > eigenvalues[i-1] {
+			return fmt.Errorf("eigenvalue %d (%v) exceeds eigenvalue %d (%v): %w", i, l, i-1, eigenvalues[i-1], ErrBadRules)
+		}
+	}
+	m, k := v.Dims()
+	for c := 0; c < k; c++ {
+		for d := 0; d <= c; d++ {
+			var s float64
+			for j := 0; j < m; j++ {
+				s += v.At(j, c) * v.At(j, d)
+			}
+			if c == d {
+				s--
+			}
+			if !(math.Abs(s) <= orthoTol) {
+				return fmt.Errorf("rule vectors %d and %d: VᵗV − I = %v: %w", c, d, s, ErrBadRules)
+			}
+		}
+	}
+	return nil
 }

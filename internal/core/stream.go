@@ -81,6 +81,13 @@ func (s *StreamMiner) Push(row []float64) error { return streamErr(s.acc.Push(ro
 // chunks.
 func (s *StreamMiner) PushBatch(flat []float64) error { return streamErr(s.acc.PushBlock(flat)) }
 
+// Clone returns an independent copy of the miner — the same sums and
+// options — in O(M²), without the JSON round trip of Save and
+// LoadStreamMiner.
+func (s *StreamMiner) Clone() *StreamMiner {
+	return &StreamMiner{miner: s.miner, acc: s.acc.Clone()}
+}
+
 // Count reports how many rows have been pushed (undecayed).
 func (s *StreamMiner) Count() int { return s.acc.Count() }
 

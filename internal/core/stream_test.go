@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -169,5 +170,59 @@ func TestMinerRejectsNaNRows(t *testing.T) {
 	x := matrix.MustFromRows([][]float64{{1, 2}, {math.Inf(1), 4}})
 	if _, err := miner.MineMatrix(x); !errors.Is(err, stats.ErrBadValue) {
 		t.Errorf("err = %v, want ErrBadValue", err)
+	}
+}
+
+// Clone is the republish snapshot: its rules must equal those of the
+// Save→LoadStreamMiner copy it replaced bit for bit, and pushes to the
+// original after cloning must not reach the clone.
+func TestStreamMinerCloneMatchesSaveLoad(t *testing.T) {
+	for _, decay := range []float64{0, 0.05} {
+		rng := rand.New(rand.NewSource(31))
+		x := planeData(rng, 120, 6, 2)
+		sm, err := NewStreamMiner(6, decay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			if err := sm.Push(x.RawRow(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clone := sm.Clone()
+		var buf bytes.Buffer
+		if err := sm.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := 100; i < 120; i++ {
+			if err := sm.Push(x.RawRow(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		loaded, err := LoadStreamMiner(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if clone.Count() != 100 {
+			t.Fatalf("decay %v: clone saw %d rows, want 100", decay, clone.Count())
+		}
+		got, err := clone.Rules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := loaded.Rules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gb, wb bytes.Buffer
+		if err := got.Save(&gb); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Save(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+			t.Fatalf("decay %v: clone rules differ from Save→Load rules:\n%s\n%s", decay, gb.Bytes(), wb.Bytes())
+		}
 	}
 }

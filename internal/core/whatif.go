@@ -32,12 +32,11 @@ func (r *Rules) whatIf(s Scenario) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.fill(row, holes, SolvePseudoInverse)
+	return r.fill(row, holes)
 }
 
 // scenarioRow validates a what-if scenario and expands it into the
-// (row, holes) form the fill paths consume; shared by the one-shot and
-// batch engines.
+// (row, holes) form fill consumes.
 func (r *Rules) scenarioRow(s Scenario) ([]float64, []int, error) {
 	m := r.M()
 	if len(s.Given) == 0 {

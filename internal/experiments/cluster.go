@@ -23,10 +23,6 @@ import (
 // float precision, because Merge sums the exact same sufficient
 // statistics a single accumulator would hold (the shard-then-merge
 // exactness of the paper's single-pass design, Korn et al. §5).
-//
-// It also reports the GE-gate fast path's before/after: the serial
-// cell-at-a-time GE₁ vs. the plan-cached row-parallel GE1With the
-// republish gate now uses, on the same gate-sized holdout.
 type ClusterResult struct {
 	Rows    int `json:"rows"`
 	Width   int `json:"width"`
@@ -43,10 +39,6 @@ type ClusterResult struct {
 	SingleGE1  float64 `json:"single_ge1"`
 	ClusterGE1 float64 `json:"cluster_ge1"`
 	GE1RelDiff float64 `json:"ge1_rel_diff"` // |cluster-single| / max(single, eps)
-
-	GateSerialSeconds float64 `json:"gate_serial_seconds"`
-	GateFastSeconds   float64 `json:"gate_fast_seconds"`
-	GateSpeedup       float64 `json:"gate_speedup"`
 }
 
 // clusterData builds rank-2 latent rows with mild multiplicative noise
@@ -211,43 +203,15 @@ func RunCluster(rows, width, workers int) (*ClusterResult, error) {
 
 	// Exactness: the merged model must guess exactly like the
 	// single-node one on a holdout neither trained on.
-	if out.SingleGE1, err = core.GE1With(single, test, core.GEOptions{}); err != nil {
+	if out.SingleGE1, err = core.GE1(single, test); err != nil {
 		return nil, err
 	}
-	if out.ClusterGE1, err = core.GE1With(merged, test, core.GEOptions{}); err != nil {
+	if out.ClusterGE1, err = core.GE1(merged, test); err != nil {
 		return nil, err
 	}
 	denom := math.Max(math.Abs(out.SingleGE1), 1e-300)
 	out.GE1RelDiff = math.Abs(out.ClusterGE1-out.SingleGE1) / denom
 
-	// GE-gate before/after on a gate-sized holdout: the serial
-	// cell-at-a-time GE1 every republish used to pay vs. the plan-cached
-	// GE1With the gate runs now. Repeat until ~100ms of serial work so
-	// the ratio is stable.
-	reps := 1
-	for {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := core.GE1(merged, test); err != nil {
-				return nil, err
-			}
-		}
-		out.GateSerialSeconds = time.Since(start).Seconds() / float64(reps)
-		if out.GateSerialSeconds*float64(reps) >= 0.1 || reps >= 256 {
-			break
-		}
-		reps *= 4
-	}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := core.GE1With(merged, test, core.GEOptions{}); err != nil {
-			return nil, err
-		}
-	}
-	out.GateFastSeconds = time.Since(start).Seconds() / float64(reps)
-	if out.GateFastSeconds > 0 {
-		out.GateSpeedup = out.GateSerialSeconds / out.GateFastSeconds
-	}
 	return out, nil
 }
 
@@ -264,10 +228,5 @@ func (r *ClusterResult) String() string {
 	fmt.Fprintf(&b, "\n%-36s %14.6g\n", "single-node GE1", r.SingleGE1)
 	fmt.Fprintf(&b, "%-36s %14.6g\n", "shard-merged GE1", r.ClusterGE1)
 	fmt.Fprintf(&b, "%-36s %14.3g (exact shard merge)\n", "relative difference", r.GE1RelDiff)
-	fmt.Fprintf(&b, "\n%-36s %14s\n", "GE gate serial (before)",
-		time.Duration(float64(time.Second)*r.GateSerialSeconds).Round(time.Microsecond))
-	fmt.Fprintf(&b, "%-36s %14s\n", "GE gate plan-cached (after)",
-		time.Duration(float64(time.Second)*r.GateFastSeconds).Round(time.Microsecond))
-	fmt.Fprintf(&b, "%-36s %14.2fx\n", "gate speedup", r.GateSpeedup)
 	return b.String()
 }

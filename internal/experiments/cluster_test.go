@@ -5,8 +5,7 @@ import "testing"
 // TestRunClusterExact runs the cluster experiment small and checks the
 // property the benchmark exists to demonstrate: the shard-merged model
 // guesses exactly like the single-node one (Merge sums the same
-// sufficient statistics), and the GE-gate fast path agrees with the
-// serial gate it replaced.
+// sufficient statistics).
 func TestRunClusterExact(t *testing.T) {
 	res, err := RunCluster(6000, 16, 3)
 	if err != nil {
@@ -18,9 +17,6 @@ func TestRunClusterExact(t *testing.T) {
 	}
 	if res.SingleRowsPerS <= 0 || res.ClusterRowsPerS <= 0 {
 		t.Fatalf("throughput not measured: %+v", res)
-	}
-	if res.GateSpeedup <= 0 {
-		t.Fatalf("gate timing not measured: %+v", res)
 	}
 	if s := res.String(); s == "" {
 		t.Fatal("empty render")

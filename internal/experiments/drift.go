@@ -128,8 +128,10 @@ func RunDrift(rows, width int) (*DriftResult, error) {
 		Alerts:        eng,
 		AutoRollback:  true,
 		// The deployment flap gate would hide the real rollback latency
-		// behind a possible noise-triggered baseline rollback.
-		RollbackCooldown: time.Millisecond,
+		// behind a possible noise-triggered baseline rollback. The
+		// smallest positive cooldown keeps it out of the way however
+		// quickly the two rollbacks follow each other.
+		RollbackCooldown: time.Nanosecond,
 		Metrics:          obs.Default(),
 		Seed:             SplitSeed,
 	})

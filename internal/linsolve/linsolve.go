@@ -1,8 +1,7 @@
-// Package linsolve provides direct linear-system solvers for the Ratio
-// Rules hole-filling algorithm: LU factorization with partial pivoting for
-// the exactly-specified case (Case 1, Eq. 6 of Korn et al., VLDB 1998) and
-// Householder QR least squares as an alternative to the pseudo-inverse for
-// the over-specified case (Case 2).
+// Package linsolve provides direct linear-system solvers: LU
+// factorization with partial pivoting for square systems and Householder
+// QR least squares for tall ones, which internal/regress uses to fit its
+// regression baseline.
 package linsolve
 
 import (

@@ -6,8 +6,8 @@
 // A trace is a tree of spans sharing one 16-byte trace ID. The HTTP
 // middleware opens the root span per request (continuing a W3C
 // `traceparent` from the wire when the client sent one), and every
-// layer below — the batch worker pool, the hole-pattern fill cache,
-// the store WAL, the miner phases — opens children with Start. Spans
+// layer below — the batch worker pool, the per-row fill solve, the
+// store WAL, the miner phases — opens children with Start. Spans
 // flow through context.Context, so parentage survives goroutine hops
 // as long as the ctx does.
 //

@@ -137,7 +137,7 @@ func (m *Manager) evalGE(ctx context.Context, name string) (GESample, error) {
 	if err != nil {
 		return GESample{}, fmt.Errorf("online: building holdout for %q: %w", name, err)
 	}
-	ge, err := core.GE1With(served, test, core.GEOptions{Workers: m.cfg.GateWorkers})
+	ge, err := core.GE1(served, test)
 	if err != nil {
 		return GESample{}, fmt.Errorf("online: evaluating served GE for %q: %w", name, err)
 	}
@@ -307,8 +307,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 	if err != nil {
 		return
 	}
-	geOpts := core.GEOptions{Workers: m.cfg.GateWorkers}
-	servedGE, err := core.GE1With(served, test, geOpts)
+	servedGE, err := core.GE1(served, test)
 	if err != nil {
 		return
 	}
@@ -326,7 +325,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 		if !ok || rules.Width() != served.Width() {
 			continue
 		}
-		ge, err := core.GE1With(rules, test, geOpts)
+		ge, err := core.GE1(rules, test)
 		if err != nil {
 			continue
 		}

@@ -28,7 +28,6 @@
 package online
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -134,9 +133,6 @@ type Config struct {
 	// RollbackCooldown spaces auto-rollbacks of one stream; <= 0
 	// selects DefaultRollbackCooldown.
 	RollbackCooldown time.Duration
-	// GateWorkers caps the row-parallelism of holdout GE evaluations
-	// (the dominant republish cost); <= 0 selects GOMAXPROCS.
-	GateWorkers int
 }
 
 // withDefaults normalizes the zero values.
@@ -636,12 +632,12 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 		return RepublishResult{}, fmt.Errorf("%w: %q", ErrNoStream, name)
 	}
 
-	// Snapshot under the stream lock: Save is O(M²), the eigensolve
-	// below is O(M³) and runs on the copy, so pushes stall only for the
-	// cheap part. The reservoir slice header is copied; rows are
-	// immutable once sampled (offer stores fresh copies), so sharing
-	// them with a concurrent replacement is safe — the holdout is
-	// simply the sample as of this instant.
+	// Snapshot under the stream lock: Clone is an O(M²) copy, the
+	// eigensolve below is O(M³) and runs on the copy, so pushes stall
+	// only for the cheap part. The reservoir slice header is copied;
+	// rows are immutable once sampled (offer stores fresh copies), so
+	// sharing them with a concurrent replacement is safe — the holdout
+	// is simply the sample as of this instant.
 	st.mu.Lock()
 	if st.sm == nil || st.sm.Count() < 2 {
 		count := 0
@@ -651,21 +647,13 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 		st.mu.Unlock()
 		return RepublishResult{}, fmt.Errorf("%w: %q has %d rows", errTooFewRows, name, count)
 	}
-	var buf bytes.Buffer
-	if err := st.sm.Save(&buf); err != nil {
-		st.mu.Unlock()
-		return RepublishResult{}, fmt.Errorf("online: snapshotting stream %q: %w", name, err)
-	}
+	clone := st.sm.Clone()
 	holdout := append([][]float64(nil), st.reservoir...)
 	st.pending = 0
 	st.rolledBack = false
 	st.republishes++
 	st.mu.Unlock()
 
-	clone, err := core.LoadStreamMiner(&buf)
-	if err != nil {
-		return RepublishResult{}, fmt.Errorf("online: cloning stream %q: %w", name, err)
-	}
 	candidate, err := clone.Rules()
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: mining stream %q: %w", name, err)
@@ -758,12 +746,11 @@ func (m *Manager) geGate(ctx context.Context, name string, candidate *core.Rules
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: building holdout for %q: %w", name, err)
 	}
-	geOpts := core.GEOptions{Workers: m.cfg.GateWorkers}
-	candGE, err := core.GE1With(candidate, test, geOpts)
+	candGE, err := core.GE1(candidate, test)
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: candidate GE for %q: %w", name, err)
 	}
-	servedGE, err := core.GE1With(served, test, geOpts)
+	servedGE, err := core.GE1(served, test)
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: served GE for %q: %w", name, err)
 	}

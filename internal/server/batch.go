@@ -9,9 +9,8 @@ package server
 // an {"index": i, "error": {...}} line in its slot and the batch keeps
 // going; the HTTP status stays 200 because it is committed before the
 // first row is solved. Rows flow through core's bounded worker pool
-// (WithBatchWorkers) and the hole-pattern plan cache, so memory is
-// bounded by the pool width, not the batch size, and repeated hole
-// patterns pay their factorization once.
+// (WithBatchWorkers), so memory is bounded by the pool width, not the
+// batch size.
 
 import (
 	"bufio"

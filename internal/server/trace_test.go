@@ -168,7 +168,7 @@ func TestRequestLogCorrelation(t *testing.T) {
 // TestBatchTraceTree is the end-to-end acceptance flow: mine a model,
 // stream a batch fill, then fetch the trace by the X-Request-ID the
 // response carried and assert the span tree nests middleware →
-// batch.row → fill.cache with non-zero durations.
+// batch.row → fill.solve with non-zero durations.
 func TestBatchTraceTree(t *testing.T) {
 	ts, _, _ := newTracedServer(t)
 	mine := do(t, "POST", ts.URL+"/v1/rules",
@@ -197,7 +197,7 @@ func TestBatchTraceTree(t *testing.T) {
 	if root.Name != "POST /v1/rules/{name}/batch/fill" {
 		t.Fatalf("root span = %q", root.Name)
 	}
-	var rows, caches int
+	var rows, solves int
 	for _, row := range root.Children {
 		if row.Name != "batch.row" {
 			continue
@@ -207,13 +207,13 @@ func TestBatchTraceTree(t *testing.T) {
 			t.Errorf("batch.row %s has zero duration", row.SpanID)
 		}
 		for _, c := range row.Children {
-			if c.Name == "fill.cache" {
-				caches++
+			if c.Name == "fill.solve" {
+				solves++
 			}
 		}
 	}
-	if rows != 3 || caches != 3 {
-		t.Fatalf("tree has %d batch.row / %d fill.cache spans, want 3 each", rows, caches)
+	if rows != 3 || solves != 3 {
+		t.Fatalf("tree has %d batch.row / %d fill.solve spans, want 3 each", rows, solves)
 	}
 }
 

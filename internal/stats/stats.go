@@ -265,6 +265,15 @@ func (c *CovAccumulator) Merge(other *CovAccumulator) error {
 	return nil
 }
 
+// Clone returns an independent copy of the accumulator: an O(M²) copy
+// that later pushes to either side do not reach the other.
+func (c *CovAccumulator) Clone() *CovAccumulator {
+	out := *c
+	out.sums = append([]float64(nil), c.sums...)
+	out.cross = c.cross.Clone()
+	return &out
+}
+
 // Count reports how many rows have been pushed (multiplicities included,
 // undecayed).
 func (c *CovAccumulator) Count() int { return c.n }

@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
 )
 
@@ -194,5 +198,43 @@ func TestOpenErrorPaths(t *testing.T) {
 	}
 	if _, err := Open(dir2); err == nil {
 		t.Error("corrupt snapshot must fail open")
+	}
+}
+
+// TestOpenBadRules checks that a stored rule set core.Load refuses as
+// non-orthonormal takes the undecodable-model path: a hard open error
+// naming the model and version in a snapshot, a warn-skip in the WAL.
+func TestOpenBadRules(t *testing.T) {
+	bad := json.RawMessage(`{"means":[0,0,0],"eigenvalues":[1],"total_variance":1,"trained_rows":10,"vectors":[[0.5],[0.5],[0.5]]}`)
+
+	snapDir := t.TempDir()
+	snap, err := json.Marshal(snapshotFile{Format: snapshotFormat, Seq: 1,
+		Models: map[string][]snapRev{"m": {{Version: 3, Rules: bad}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(snapDir, snapshotFileName), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(snapDir)
+	if !errors.Is(err, core.ErrBadRules) || !strings.Contains(err.Error(), `"m" v3`) {
+		t.Fatalf("snapshot with bad rules: Open = %v, want ErrBadRules naming \"m\" v3", err)
+	}
+
+	walDir := t.TempDir()
+	payload, err := json.Marshal(walEvent{Seq: 1, Op: opPut, Name: "m", Version: 1, Rules: bad})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(walDir, walFileName), encodeRecord(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(walDir)
+	if err != nil {
+		t.Fatalf("WAL with bad rules must open: %v", err)
+	}
+	defer st.Close()
+	if _, _, ok := st.Get("m"); ok {
+		t.Fatal("bad rules replayed from the WAL")
 	}
 }

@@ -11,9 +11,7 @@ import (
 )
 
 // Batch types, re-exported from internal/core. The Batch* calls stream
-// rows through a bounded worker pool and a per-model hole-pattern plan
-// cache, so a large batch with few distinct hole sets pays each
-// factorization once.
+// rows through a bounded worker pool.
 type (
 	// BatchOptions tunes a batch run directly at the core layer; the
 	// facade fills it from Options.
@@ -61,8 +59,6 @@ type Options struct {
 	// API can configure.
 	MinerOpts []Option
 
-	// Solver picks the over-specified hole-filling algorithm.
-	Solver FillSolver
 	// Workers bounds the batch worker pool; 0 selects
 	// DefaultBatchWorkers().
 	Workers int
@@ -85,10 +81,6 @@ func MaxK(k int) Opt { return func(o *Options) { o.MaxK = k } }
 
 // AttrNames attaches attribute names to the mined rules.
 func AttrNames(names ...string) Opt { return func(o *Options) { o.AttrNames = names } }
-
-// Solver picks the over-specified hole-filling algorithm (fill,
-// forecast and batch calls).
-func Solver(s FillSolver) Opt { return func(o *Options) { o.Solver = s } }
 
 // Workers bounds the batch worker pool width.
 func Workers(n int) Opt { return func(o *Options) { o.Workers = n } }
@@ -131,7 +123,7 @@ func (o Options) minerOptions() []Option {
 
 // batchOptions lowers Options onto the core batch configuration.
 func (o Options) batchOptions() BatchOptions {
-	return BatchOptions{Workers: o.Workers, Solver: o.Solver, Sigma: o.Sigma}
+	return BatchOptions{Workers: o.Workers, Sigma: o.Sigma}
 }
 
 // Mine mines Ratio Rules from an in-memory matrix:
@@ -174,9 +166,10 @@ func CoreMiner(opts ...Opt) (*Miner, error) {
 }
 
 // Fill reconstructs the listed holes of one record (nil holes derives
-// them from Hole markers), honoring the Solver option.
+// them from Hole markers). No option changes a single fill; opts is
+// accepted so call sites can pass the options they share with Clean and
+// the batch calls.
 func Fill(rules *Rules, record []float64, holes []int, opts ...Opt) ([]float64, error) {
-	o := buildOptions(opts)
 	if holes == nil {
 		for j, v := range record {
 			if IsHole(v) {
@@ -184,7 +177,7 @@ func Fill(rules *Rules, record []float64, holes []int, opts ...Opt) ([]float64, 
 			}
 		}
 	}
-	return rules.FillRowWith(record, holes, o.Solver)
+	return rules.FillRow(record, holes)
 }
 
 // Clean repairs every Hole-marked cell of x in place through the batch
@@ -212,8 +205,8 @@ func Clean(rules *Rules, x *Matrix, opts ...Opt) (int, error) {
 }
 
 // BatchFill fills rows[i] with hole set holes[i] (nil holes, or a nil
-// entry, derives holes from Hole markers) on the worker pool, reusing
-// cached hole-pattern factorizations. Results are indexed like rows; a
+// entry, derives holes from Hole markers) on the worker pool. Results
+// are indexed like rows; a
 // failed row reports its error without affecting the others.
 func BatchFill(rules *Rules, rows [][]float64, holes [][]int, opts ...Opt) []FillResult {
 	return rules.BatchFillSlice(rows, holes, buildOptions(opts).batchOptions())

@@ -95,9 +95,8 @@ func TestFillWithOptions(t *testing.T) {
 		t.Fatalf("Fill([4, _]) = %v, want y near 8", got)
 	}
 
-	// Holes derived from markers, with an explicit solver.
-	got, err = ratiorules.Fill(rules, []float64{4, ratiorules.Hole}, nil,
-		ratiorules.Solver(ratiorules.SolveQR))
+	// Holes derived from markers.
+	got, err = ratiorules.Fill(rules, []float64{4, ratiorules.Hole}, nil)
 	if err != nil {
 		t.Fatalf("Fill with markers: %v", err)
 	}

@@ -33,9 +33,8 @@
 //
 // # Batch inference
 //
-// The Batch* calls answer many rows at once on a bounded worker pool,
-// reusing one solver factorization per distinct hole pattern (see
-// internal/core's plan cache); Clean repairs a whole matrix in place:
+// The Batch* calls answer many rows at once on a bounded worker pool;
+// Clean repairs a whole matrix in place:
 //
 //	res := ratiorules.BatchFill(rules, rows, nil, ratiorules.Workers(8))
 //	n, err := ratiorules.Clean(rules, x)
@@ -78,8 +77,6 @@ type (
 	// CellOutlier and RowOutlier are outlier-detection results.
 	CellOutlier = core.CellOutlier
 	RowOutlier  = core.RowOutlier
-	// FillSolver selects the over-specified hole-filling algorithm.
-	FillSolver = core.FillSolver
 	// BandedFill is a reconstruction with 1-sigma uncertainty per filled
 	// cell (see Rules.FillRecordWithBands).
 	BandedFill = core.BandedFill
@@ -97,6 +94,10 @@ var (
 	ErrNoRules = core.ErrNoRules
 	ErrBadHole = core.ErrBadHole
 	ErrWidth   = core.ErrWidth
+	// ErrBadRules marks a rule set LoadRules refuses: vectors that are
+	// not orthonormal, or eigenvalues that are non-finite, negative or
+	// not descending.
+	ErrBadRules = core.ErrBadRules
 )
 
 // Hole marks an unknown cell in a record passed to Rules.FillRecord.
@@ -107,14 +108,6 @@ func IsHole(v float64) bool { return core.IsHole(v) }
 
 // DefaultEnergy is the paper's Eq. 1 cutoff threshold (85%).
 const DefaultEnergy = core.DefaultEnergy
-
-// Solver choices for the over-specified hole-filling case.
-const (
-	// SolvePseudoInverse follows the paper (Eqs. 7-9); the default.
-	SolvePseudoInverse = core.SolvePseudoInverse
-	// SolveQR uses Householder least squares instead.
-	SolveQR = core.SolveQR
-)
 
 // WithEnergy sets the Eq. 1 variance-coverage threshold in (0, 1].
 func WithEnergy(fraction float64) Option { return core.WithEnergy(fraction) }
