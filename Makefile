@@ -63,6 +63,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzCSVSource$$' -fuzztime=$(FUZZTIME) ./internal/dataset
+	$(GO) test -run='^$$' -fuzz='^FuzzSymEig$$' -fuzztime=$(FUZZTIME) ./internal/eigen
 
 bench:
 	$(GO) run ./cmd/rrbench -experiment all

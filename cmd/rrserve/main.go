@@ -81,9 +81,11 @@
 //	                 (incompatible with -node and -cluster-workers)
 //	-max-replica-lag replication staleness bound; beyond it a follower's
 //	                 /readyz answers 503 replica_lagging (default 30s)
-//	-replication-log committed events retained in memory for follower
-//	                 catch-up; followers further behind bootstrap from a
-//	                 snapshot frame instead (default 1024)
+//	-replication-log upper bound on the committed events retained in
+//	                 memory for follower catch-up (default 1024); an
+//	                 event also leaves the log when -max-versions prunes
+//	                 the revision it carried. Followers further behind
+//	                 bootstrap from a snapshot frame instead
 //	-profile-every   continuous-profiling capture cadence (default 1m;
 //	                 0 disables the loop — /debug/profiles then lists
 //	                 an empty ring)
@@ -218,7 +220,7 @@ func run(ctx context.Context, args []string) error {
 
 		follow         = fs.String("follow", "", "leader base URL; non-empty runs this server as a read-only follower replica")
 		maxReplicaLag  = fs.Duration("max-replica-lag", server.DefaultMaxReplicaLag, "replication staleness beyond which a follower's /readyz answers 503")
-		replicationLog = fs.Int("replication-log", store.DefaultReplicationLog, "committed events retained in memory for follower catch-up")
+		replicationLog = fs.Int("replication-log", store.DefaultReplicationLog, "upper bound on committed events retained in memory for follower catch-up; an event also leaves when -max-versions prunes its revision")
 
 		profileEvery = fs.Duration("profile-every", time.Minute, "continuous-profiling capture cadence (0 disables the capture loop)")
 		profileCPU   = fs.Duration("profile-cpu", 50*time.Millisecond, "CPU capture window per profiling cycle (0 keeps only snapshots)")

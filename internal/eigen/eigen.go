@@ -58,11 +58,13 @@ func SymEig(a *matrix.Dense) (*System, error) {
 	if n == 0 {
 		return &System{Values: nil, Vectors: matrix.NewDense(0, 0)}, nil
 	}
-	// Work on a copy: tred2 runs in place.
-	z := a.Clone()
+	// Work on a copy: tred2 runs in place. tql2 then takes the
+	// accumulated transformation transposed, one eigenvector per row.
+	z := append([]float64(nil), a.RawData()...)
 	d := make([]float64, n) // diagonal of the tridiagonal form
 	e := make([]float64, n) // sub-diagonal
 	tred2(z, d, e)
+	transpose(z, n)
 	if err := tql2(z, d, e); err != nil {
 		return nil, err
 	}
@@ -90,7 +92,7 @@ func Jacobi(a *matrix.Dense) (*System, error) {
 			for i := 0; i < n; i++ {
 				d[i] = w.At(i, i)
 			}
-			return sortedSystem(d, v), nil
+			return sortedSystem(d, v.T().RawData()), nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -165,11 +167,12 @@ func jacobiRotate(w, v *matrix.Dense, p, q int) {
 	}
 }
 
-// sortedSystem bundles eigenvalues d and eigenvector columns of z into a
-// System sorted by descending eigenvalue, normalizing vector signs so the
+// sortedSystem bundles eigenvalues d and the eigenvectors stored as the
+// rows of vt (n×n row-major, row i belonging to d[i]) into a System
+// sorted by descending eigenvalue, normalizing vector signs so the
 // component of largest magnitude is positive (a stable, presentation-
-// friendly convention for Ratio Rules).
-func sortedSystem(d []float64, z *matrix.Dense) *System {
+// friendly convention for Ratio Rules). It flips signs in vt in place.
+func sortedSystem(d, vt []float64) *System {
 	n := len(d)
 	idx := make([]int, n)
 	for i := range idx {
@@ -179,12 +182,13 @@ func sortedSystem(d []float64, z *matrix.Dense) *System {
 
 	values := make([]float64, n)
 	vectors := matrix.NewDense(n, n)
-	for out, in := range idx {
-		values[out] = d[in]
-		col := z.Col(in)
-		canonicalizeSign(col)
-		for i := 0; i < n; i++ {
-			vectors.Set(i, out, col[i])
+	out := vectors.RawData()
+	for o, in := range idx {
+		values[o] = d[in]
+		vec := vt[in*n : (in+1)*n]
+		canonicalizeSign(vec)
+		for i, x := range vec {
+			out[i*n+o] = x
 		}
 	}
 	return &System{Values: values, Vectors: vectors}
@@ -209,14 +213,15 @@ func canonicalizeSign(v []float64) {
 	}
 }
 
-// tred2 reduces the symmetric matrix stored in z to tridiagonal form by
-// Householder similarity transformations, accumulating the transformation
-// in z. On return d holds the diagonal and e the sub-diagonal (e[0] = 0).
-// Translated from the EISPACK routine of the same name (0-indexed).
-func tred2(z *matrix.Dense, d, e []float64) {
+// tred2 reduces the symmetric n×n matrix stored row-major in z (n =
+// len(d)) to tridiagonal form by Householder similarity transformations,
+// accumulating the transformation in z. On return d holds the diagonal
+// and e the sub-diagonal (e[0] = 0). Translated from the EISPACK routine
+// of the same name (0-indexed); z[i*n+j] is element (i, j).
+func tred2(z, d, e []float64) {
 	n := len(d)
 	for i := 0; i < n; i++ {
-		d[i] = z.At(n-1, i)
+		d[i] = z[(n-1)*n+i]
 	}
 	for i := n - 1; i > 0; i-- {
 		l := i - 1
@@ -228,9 +233,9 @@ func tred2(z *matrix.Dense, d, e []float64) {
 			if scale == 0 {
 				e[i] = d[l]
 				for j := 0; j <= l; j++ {
-					d[j] = z.At(l, j)
-					z.Set(i, j, 0)
-					z.Set(j, i, 0)
+					d[j] = z[l*n+j]
+					z[i*n+j] = 0
+					z[j*n+i] = 0
 				}
 			} else {
 				for k := 0; k <= l; k++ {
@@ -250,11 +255,12 @@ func tred2(z *matrix.Dense, d, e []float64) {
 				}
 				for j := 0; j <= l; j++ {
 					f = d[j]
-					z.Set(j, i, f)
-					g = e[j] + z.At(j, j)*f
+					z[j*n+i] = f
+					g = e[j] + z[j*n+j]*f
 					for k := j + 1; k <= l; k++ {
-						g += z.At(k, j) * d[k]
-						e[k] += z.At(k, j) * f
+						zkj := z[k*n+j]
+						g += zkj * d[k]
+						e[k] += zkj * f
 					}
 					e[j] = g
 				}
@@ -271,56 +277,68 @@ func tred2(z *matrix.Dense, d, e []float64) {
 					f = d[j]
 					g = e[j]
 					for k := j; k <= l; k++ {
-						z.Set(k, j, z.At(k, j)-(f*e[k]+g*d[k]))
+						z[k*n+j] -= f*e[k] + g*d[k]
 					}
-					d[j] = z.At(l, j)
-					z.Set(i, j, 0)
+					d[j] = z[l*n+j]
+					z[i*n+j] = 0
 				}
 			}
 		} else {
 			e[i] = d[l]
-			d[l] = z.At(l, l)
-			z.Set(i, l, 0)
-			z.Set(l, i, 0)
+			d[l] = z[l*n+l]
+			z[i*n+l] = 0
+			z[l*n+i] = 0
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		z.Set(n-1, i, z.At(i, i))
-		z.Set(i, i, 1)
+		z[(n-1)*n+i] = z[i*n+i]
+		z[i*n+i] = 1
 		l := i + 1
 		if d[l] != 0 {
 			for k := 0; k < l; k++ {
-				d[k] = z.At(k, l) / d[l]
+				d[k] = z[k*n+l] / d[l]
 			}
 			for j := 0; j < l; j++ {
 				var g float64
 				for k := 0; k < l; k++ {
-					g += z.At(k, l) * z.At(k, j)
+					g += z[k*n+l] * z[k*n+j]
 				}
 				for k := 0; k < l; k++ {
-					z.Set(k, j, z.At(k, j)-g*d[k])
+					z[k*n+j] -= g * d[k]
 				}
 			}
 		}
 		for k := 0; k < l; k++ {
-			z.Set(k, l, 0)
+			z[k*n+l] = 0
 		}
 	}
 	for i := 0; i < n; i++ {
-		d[i] = z.At(n-1, i)
-		z.Set(n-1, i, 0)
+		d[i] = z[(n-1)*n+i]
+		z[(n-1)*n+i] = 0
 	}
-	z.Set(n-1, n-1, 1)
+	z[(n-1)*n+n-1] = 1
 	e[0] = 0
+}
+
+// transpose transposes the n×n row-major matrix z in place.
+func transpose(z []float64, n int) {
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			z[i*n+j], z[j*n+i] = z[j*n+i], z[i*n+j]
+		}
+	}
 }
 
 // tql2 finds the eigenvalues and eigenvectors of the symmetric tridiagonal
 // matrix described by d (diagonal) and e (sub-diagonal, e[0] ignored) using
 // the QL method with implicit shifts, updating the transformation
-// accumulated in z. Translated from the EISPACK routine of the same name.
-func tql2(z *matrix.Dense, d, e []float64) error {
+// accumulated in zt. Translated from the EISPACK routine of the same name,
+// except that zt holds the transformation transposed (n×n row-major,
+// n = len(d)): each rotation then updates two contiguous rows, and on
+// return row i of zt is the unit eigenvector for d[i].
+func tql2(zt, d, e []float64) error {
 	n := len(d)
 	if n == 1 {
 		return nil
@@ -357,14 +375,18 @@ func tql2(z *matrix.Dense, d, e []float64) error {
 			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
 			s, c := 1.0, 1.0
 			p := 0.0
+			deflated := false
 			for i := m - 1; i >= l; i-- {
 				f := s * e[i]
 				b := c * e[i]
 				r = math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
+					// f and g both underflowed: recover and restart the
+					// iteration for l (Numerical Recipes' tqli).
 					d[i+1] -= p
 					e[m] = 0
+					deflated = true
 					break
 				}
 				s = f / r
@@ -374,14 +396,19 @@ func tql2(z *matrix.Dense, d, e []float64) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				// Accumulate the rotation into the eigenvector matrix.
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				// Accumulate the rotation into rows i and i+1.
+				zi := zt[i*n : (i+1)*n]
+				zj := zt[(i+1)*n : (i+2)*n]
+				for k, zik := range zi {
+					f = zj[k]
+					zj[k] = s*zik + c*f
+					zi[k] = c*zik - s*f
 				}
 			}
-			if r == 0 && m-1 >= l {
+			// Only a split above skips the closing update. A full sweep
+			// whose last r = (d[l]-g)·s + 2cb is exactly zero must still
+			// apply it, or d and e stop describing the rotated matrix.
+			if deflated {
 				continue
 			}
 			d[l] -= p

@@ -8,6 +8,8 @@ import (
 	"testing/quick"
 
 	"ratiorules/internal/matrix"
+	"ratiorules/internal/quest"
+	"ratiorules/internal/stats"
 )
 
 // solvers lets every test run against both implementations.
@@ -337,13 +339,47 @@ func randomSymmetric(rng *rand.Rand, n int) *matrix.Dense {
 	return a
 }
 
+// questScatter returns the centred scatter of 20,000 Quest rows (M=100,
+// the paper's scale-up setting): the shape of matrix the miner solves.
+func questScatter(tb testing.TB) *matrix.Dense {
+	tb.Helper()
+	src, err := quest.NewSource(quest.DefaultConfig(20000))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x := matrix.NewDense(20000, src.Width())
+	for i := 0; i < 20000; i++ {
+		row, err := src.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		x.SetRow(i, row)
+	}
+	scatter, _ := stats.ScatterTwoPass(x)
+	return scatter
+}
+
 func BenchmarkSymEig50(b *testing.B)  { benchSolver(b, SymEig, 50) }
 func BenchmarkSymEig100(b *testing.B) { benchSolver(b, SymEig, 100) }
 func BenchmarkJacobi50(b *testing.B)  { benchSolver(b, Jacobi, 50) }
 
+// BenchmarkSymEig200 and BenchmarkSymEig400 solve the matrices the
+// Lanczos benchmarks of the same size solve.
+func BenchmarkSymEig200(b *testing.B) {
+	benchMatrix(b, SymEig, randomPSD(rand.New(rand.NewSource(1)), 200))
+}
+
+func BenchmarkSymEig400(b *testing.B) {
+	benchMatrix(b, SymEig, randomPSD(rand.New(rand.NewSource(1)), 400))
+}
+
+func BenchmarkSymEigQuest100(b *testing.B) { benchMatrix(b, SymEig, questScatter(b)) }
+
 func benchSolver(b *testing.B, fn func(*matrix.Dense) (*System, error), n int) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomSymmetric(rng, n)
+	benchMatrix(b, fn, randomSymmetric(rand.New(rand.NewSource(1)), n))
+}
+
+func benchMatrix(b *testing.B, fn func(*matrix.Dense) (*System, error), a *matrix.Dense) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fn(a); err != nil {

@@ -140,7 +140,7 @@ func solveTridiagonal(alphas, betas []float64) ([]float64, *matrix.Dense, error)
 	for i := 1; i < dim; i++ {
 		e[i] = betas[i-1]
 	}
-	z := matrix.Identity(dim)
+	z := matrix.Identity(dim).RawData()
 	if err := tql2(z, d, e); err != nil {
 		return nil, nil, err
 	}

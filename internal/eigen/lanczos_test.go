@@ -134,10 +134,22 @@ func TestLanczosResidualProperty(t *testing.T) {
 }
 
 func BenchmarkLanczos3of200(b *testing.B) {
-	a := randomPSD(rand.New(rand.NewSource(1)), 200)
+	benchLanczos(b, randomPSD(rand.New(rand.NewSource(1)), 200), 3)
+}
+
+func BenchmarkLanczos3of400(b *testing.B) {
+	benchLanczos(b, randomPSD(rand.New(rand.NewSource(1)), 400), 3)
+}
+
+// BenchmarkLanczos14ofQuest100 asks for the 14 rules the Quest scatter
+// mines to at the default 85% energy; BenchmarkSymEigQuest100 is the
+// full solve of the same matrix.
+func BenchmarkLanczos14ofQuest100(b *testing.B) { benchLanczos(b, questScatter(b), 14) }
+
+func benchLanczos(b *testing.B, a *matrix.Dense, k int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Lanczos(a, 3); err != nil {
+		if _, err := Lanczos(a, k); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,3 +144,30 @@ func TestLargeConstantMatrix(t *testing.T) {
 	}
 	assertOrthonormal(t, sys.Vectors, 1e-8)
 }
+
+// TestQLSweepEndingOnZero: a QL sweep that runs to completion with its
+// last r = (d[l]-g)·s + 2cb exactly zero must still apply the closing
+// update of d[l] and e[l]. Treating that zero like the underflow break
+// skips the update, and for this matrix (the first input FuzzSymEig
+// found) leaves eigenvalues whose product is 1.6·det(A).
+func TestQLSweepEndingOnZero(t *testing.T) {
+	a := matrix.MustFromRows([][]float64{
+		{21074, 21074, 12848},
+		{21074, 21074, 0},
+		{12848, 0, 0},
+	})
+	det := -21074.0 * 12848 * 12848
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			sys, err := s.fn(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prod := sys.Values[0] * sys.Values[1] * sys.Values[2]
+			if math.Abs(prod-det) > 1e-9*math.Abs(det) {
+				t.Errorf("λ₁λ₂λ₃ = %g, want det(A) = %g", prod, det)
+			}
+			assertDecomposition(t, a, sys, 1e-10)
+		})
+	}
+}

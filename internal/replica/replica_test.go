@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -251,6 +252,52 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "post-bootstrap tail", func() bool { return fst.Seq() == leader.Seq() })
+}
+
+// TestFollowerBootstrapsPastPrunedRevision: with the default log bound,
+// a follower attached after more than max-versions puts of one model has
+// missed a revision the leader already pruned. The leader's log no longer
+// reaches back that far, so the follower bootstraps from a snapshot once
+// and ends with the leader's bytes and version history.
+func TestFollowerBootstrapsPastPrunedRevision(t *testing.T) {
+	leader := store.OpenMemory(store.WithMaxVersions(3))
+	for i := 0; i < 5; i++ {
+		if _, err := leader.Put("m", testRules(t, float64(i+2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := startLeader(t, leader)
+	fst := store.OpenMemory(store.WithMaxVersions(3))
+	f := startFollower(t, ts.URL, fst)
+
+	check := func(what string) {
+		t.Helper()
+		waitFor(t, what, func() bool { return fst.Seq() == leader.Seq() })
+		if got := f.Status().SnapshotBootstraps; got != 1 {
+			t.Fatalf("%s: bootstraps = %d, want 1", what, got)
+		}
+		lr, lv, _ := leader.GetRaw("m")
+		fr, fv, ok := fst.GetRaw("m")
+		if !ok || lv != fv || !bytes.Equal(lr, fr) {
+			t.Fatalf("%s: follower head v%d != leader v%d", what, fv, lv)
+		}
+		li, _ := leader.Versions("m")
+		fi, _ := fst.Versions("m")
+		if !reflect.DeepEqual(li, fi) {
+			t.Fatalf("%s: version history: leader %+v, follower %+v", what, li, fi)
+		}
+	}
+	check("bootstrap")
+	// Later puts arrive as events; pruning on both sides keeps the
+	// histories equal without another bootstrap. Three puts prune only
+	// revisions the snapshot already carried. A fourth could prune one
+	// the stream had not yet shipped and force a second bootstrap.
+	for i := 0; i < 3; i++ {
+		if _, err := leader.Put("m", testRules(t, float64(i+20))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("tail")
 }
 
 // TestFollowerCompactionRace: the leader snapshots + compacts and trims

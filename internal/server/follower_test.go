@@ -199,7 +199,12 @@ func TestFollowerServesIdenticalBytes(t *testing.T) {
 func TestFollowerReadyz(t *testing.T) {
 	leader, follower, f := newFollowerPair(t)
 	mineModel(t, leader, "m")
-	waitUntil(t, "sync", func() bool { return f.Status().Synced })
+	// Synced alone is not enough: the first heartbeat can report leader
+	// seq 0 before the put commits, and the follower is synced at 0.
+	waitUntil(t, "sync", func() bool {
+		st := f.Status()
+		return st.Synced && st.AppliedSeq == 1
+	})
 
 	var body struct {
 		Status  string          `json:"status"`

@@ -36,14 +36,18 @@ import (
 // replicated apply (they come in long runs during catch-up).
 var ctxBackground = context.Background()
 
-// DefaultReplicationLog is the default number of committed events
-// retained in memory for follower catch-up. A follower further behind
-// than this bootstraps from a snapshot instead.
+// DefaultReplicationLog is the default upper bound on the committed
+// events retained in memory for follower catch-up. An event also leaves
+// the log when WithMaxVersions prunes the revision it carried, so a
+// follower bootstraps from a snapshot once it is this many events
+// behind or has missed a pruned revision.
 const DefaultReplicationLog = 1024
 
 // WithReplicationLog bounds the committed events retained in memory for
 // follower catch-up (default DefaultReplicationLog; <= 0 retains none,
-// forcing every follower attach through a snapshot bootstrap).
+// forcing every follower attach through a snapshot bootstrap). It is an
+// upper bound: pruning a revision also trims the log through the event
+// that installed it.
 func WithReplicationLog(n int) Option { return func(o *options) { o.replicationLog = n } }
 
 // Event is one committed store mutation, exactly as journaled: the unit
@@ -115,9 +119,25 @@ func (s *Store) appendReplog(ev walEvent) {
 	}
 	s.replog = append(s.replog, Event(ev))
 	if over := len(s.replog) - s.opts.replicationLog; over > 0 {
-		s.replogBase = s.replog[over-1].Seq
-		s.replog = append(s.replog[:0], s.replog[over:]...)
+		s.trimReplog(s.replog[over-1].Seq)
 	}
+}
+
+// trimReplog drops the retained events with Seq <= through and moves
+// replogBase up to it; a through at or below the base is a no-op.
+// Callers hold s.mu.
+func (s *Store) trimReplog(through uint64) {
+	if through <= s.replogBase {
+		return
+	}
+	i := 0
+	for i < len(s.replog) && s.replog[i].Seq <= through {
+		i++
+	}
+	n := copy(s.replog, s.replog[i:])
+	clear(s.replog[n:]) // release the dropped payloads
+	s.replog = s.replog[:n]
+	s.replogBase = through
 }
 
 // EventsSince returns the committed events with Seq > after, in order.
@@ -218,7 +238,7 @@ func (s *Store) ApplyEvent(ev Event) (applied bool, err error) {
 	}
 	switch ev.Op {
 	case opPut:
-		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules})
+		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules, seq: ev.Seq})
 	case opDelete:
 		delete(s.models, ev.Name)
 	}

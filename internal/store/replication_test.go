@@ -78,6 +78,65 @@ func TestEventsSinceBounds(t *testing.T) {
 	}
 }
 
+// TestReplogTrimsWithPrunedRevisions: when max-versions prunes a
+// revision, the replication log drops every event up to and including
+// the one that installed it, whatever the log bound allows; a delete
+// trims nothing.
+func TestReplogTrimsWithPrunedRevisions(t *testing.T) {
+	st := OpenMemory(WithMaxVersions(2))
+	r := testRules(t, 2)
+	// seq 1, 2: m v1, v2; seq 3: n v1; seq 4, 5, 6: m v3, v4, v5. The
+	// last three prune m v1 (seq 1), v2 (seq 2) and v3 (seq 4).
+	for _, name := range []string{"m", "m", "n", "m", "m", "m"} {
+		if _, err := st.Put(name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for after := uint64(0); after < 4; after++ {
+		if _, err := st.EventsSince(after); !errors.Is(err, ErrSnapshotNeeded) {
+			t.Fatalf("EventsSince(%d) err = %v, want ErrSnapshotNeeded", after, err)
+		}
+	}
+	events, err := st.EventsSince(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Seq != 5 || events[0].Version != 4 ||
+		events[1].Seq != 6 || events[1].Version != 5 {
+		t.Fatalf("EventsSince(4) = %+v, want m v4 (seq 5) and m v5 (seq 6)", events)
+	}
+
+	// A delete drops n's history but leaves the log as it was.
+	if _, err := st.Delete("n"); err != nil {
+		t.Fatal(err)
+	}
+	events, err = st.EventsSince(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 3 || events[2].Seq != 7 || events[2].Op != "delete" {
+		t.Fatalf("after delete, EventsSince(4) = %+v, want seqs 5, 6, 7", events)
+	}
+
+	// With one model churning, the log holds no more than its retained
+	// revisions.
+	st = OpenMemory(WithMaxVersions(4))
+	for i := 0; i < 100; i++ {
+		if _, err := st.Put("m", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(st.replog) > 4 {
+		t.Fatalf("replication log holds %d events after 100 puts at max-versions 4", len(st.replog))
+	}
+	if events, err := st.EventsSince(96); err != nil || len(events) != 4 {
+		t.Fatalf("EventsSince(96) = %d events, %v; want the 4 retained puts", len(events), err)
+	}
+	if _, err := st.EventsSince(95); !errors.Is(err, ErrSnapshotNeeded) {
+		t.Fatalf("EventsSince(95) err = %v, want ErrSnapshotNeeded", err)
+	}
+}
+
 // TestEventsSinceAfterReopen: recovery replays without journaling, so a
 // reopened store retains nothing and forces a snapshot bootstrap for
 // any follower that is behind.

@@ -116,6 +116,11 @@ type rev struct {
 	version int
 	rules   *core.Rules
 	raw     []byte
+	// seq is the sequence number of the event that installed this
+	// revision (0 when it was loaded from a snapshot, whose events the
+	// replication log never holds). Pruning the revision trims the log
+	// through it; see install.
+	seq uint64
 	// ge is an advisory quality annotation (GE₁ measured by the online
 	// monitor), in-memory only: it describes a measurement against a
 	// transient holdout, not durable model state, so it is never
@@ -326,7 +331,7 @@ func (s *Store) apply(ev walEvent) error {
 		if err != nil {
 			return err
 		}
-		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules})
+		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules, seq: ev.Seq})
 		return nil
 	case opDelete:
 		delete(s.models, ev.Name)
@@ -337,7 +342,13 @@ func (s *Store) apply(ev walEvent) error {
 }
 
 // install appends a revision to a model's history, pruning beyond the
-// retention bound, and advances the name's version counter.
+// retention bound, and advances the name's version counter. Pruning
+// also trims the replication log through the newest pruned revision's
+// event: a follower that has not applied that event can no longer
+// rebuild the retained history from events, so it needs a snapshot
+// whatever the log holds. The log thus keeps at most maxVersions puts
+// of any one model, however large the replicationLog bound. Callers
+// hold s.mu and have journaled the event r carries.
 func (s *Store) install(name string, r rev) {
 	m := s.models[name]
 	if m == nil {
@@ -346,7 +357,9 @@ func (s *Store) install(name string, r rev) {
 	}
 	m.revs = append(m.revs, r)
 	if limit := s.opts.maxVersions; limit > 0 && len(m.revs) > limit {
-		m.revs = append(m.revs[:0], m.revs[len(m.revs)-limit:]...)
+		pruned := len(m.revs) - limit
+		s.trimReplog(m.revs[pruned-1].seq)
+		m.revs = append(m.revs[:0], m.revs[pruned:]...)
 	}
 	if r.version > s.lastVersion[name] {
 		s.lastVersion[name] = r.version
@@ -453,7 +466,7 @@ func (s *Store) PutContext(ctx context.Context, name string, rules *core.Rules) 
 	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opPut, Name: name, Version: version, Rules: raw}); err != nil {
 		return 0, err
 	}
-	s.install(name, rev{version: version, rules: rules, raw: raw})
+	s.install(name, rev{version: version, rules: rules, raw: raw, seq: s.seq})
 	s.met.models.Set(float64(len(s.models)))
 	s.maybeSnapshot(ctx)
 	return version, nil
@@ -535,7 +548,7 @@ func (s *Store) RollbackContext(ctx context.Context, name string, version int) (
 	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opPut, Name: name, Version: newVersion, Rules: target.raw}); err != nil {
 		return nil, 0, err
 	}
-	s.install(name, rev{version: newVersion, rules: target.rules, raw: target.raw})
+	s.install(name, rev{version: newVersion, rules: target.rules, raw: target.raw, seq: s.seq})
 	s.maybeSnapshot(ctx)
 	return target.rules, newVersion, nil
 }
