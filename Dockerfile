@@ -1,8 +1,9 @@
 # Multi-stage build for the Ratio Rules service.
 #
-# Stage 1 compiles rrserve (and the rrbench load generator, handy for
-# smoke tests) as static binaries; stage 2 ships them on distroless
-# static — no shell, no package manager, runs as nonroot. The service
+# Stage 1 compiles rrserve (and rrbench, which regenerates the paper's
+# tables and figures — a quick smoke test of the mining core) as
+# static binaries; stage 2 ships them on distroless static — no shell,
+# no package manager, runs as nonroot. The service
 # owns its own HTTP probes (/healthz, /readyz) so no curl is needed in
 # the image; compose healthchecks use rrserve itself via the go
 # net/http probe below.

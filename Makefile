@@ -43,8 +43,11 @@ lint:
 # dirs, online republish scheduling and the GE alert path, the alert
 # engine's state machines, cluster fan-out teardown, replica
 # reconnect/stall, fleet scrape fan-out and profile-ring eviction, and
-# admission's bounded waits and reloads. (Lint is a separate CI step —
-# it may need the network to fetch staticcheck.)
+# admission's bounded waits and reloads. Last, it vets and tests the
+# perfbench module: perfbench is a nested module, so the root ./...
+# never compiles it, and a deleted API it calls would otherwise surface
+# only when the benchmark runs. (Lint is a separate CI step — it may
+# need the network to fetch staticcheck.)
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -52,6 +55,7 @@ verify:
 	$(GO) test -race -count=2 ./internal/store ./internal/online ./internal/obs/alert \
 		./internal/cluster ./internal/replica ./internal/obs/fleet ./internal/obs/profile \
 		./internal/admission
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs every fuzz target in the module for FUZZTIME (default 10s).
 # Go allows one -fuzz pattern per invocation, hence the separate runs.

@@ -26,6 +26,24 @@ func TestParseSizes(t *testing.T) {
 	}
 }
 
+// TestExperimentNamesMatchTranscript pins the `-experiment all` list
+// against the section headers of its committed transcript, in order.
+func TestExperimentNamesMatchTranscript(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "rrbench-all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sections []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "==================== "); ok {
+			sections = append(sections, strings.TrimSuffix(name, " ===================="))
+		}
+	}
+	if !reflect.DeepEqual(experimentNames, sections) {
+		t.Errorf("experimentNames = %v\ntranscript sections = %v", experimentNames, sections)
+	}
+}
+
 func TestRunTable2(t *testing.T) {
 	var buf strings.Builder
 	if err := run([]string{"-experiment", "table2"}, &buf); err != nil {

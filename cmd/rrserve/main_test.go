@@ -8,9 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ratiorules/internal/obs"
 )
 
 // startServe runs the server on ephemeral ports and returns the bound
@@ -205,7 +208,10 @@ func TestKillRecoverRoundTrip(t *testing.T) {
 	f.Close()
 
 	// Boot #2: cold recovery must truncate the torn tail and serve the
-	// exact same models.
+	// exact same models. The torn-record counter lives on the
+	// process-wide registry, so earlier runs in this process may have
+	// moved it already: boot #2 must add exactly one.
+	tornBefore := obs.Default().Snapshot()["rr_store_torn_records_total"]
 	addrs, shutdown = startServe(t, "-addr", "127.0.0.1:0", "-data-dir", dir)
 	base = "http://" + addrs["main"]
 	codeA, gotA := get(t, base+"/v1/rules/a")
@@ -242,7 +248,7 @@ func TestKillRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("metrics = %d", code)
 	} else {
 		for _, want := range []string{
-			"rr_store_torn_records_total 1",
+			"rr_store_torn_records_total " + strconv.FormatFloat(tornBefore+1, 'g', -1, 64),
 			"rr_store_models 2",
 			"rr_store_wal_appends_total{op=\"put\"}",
 		} {

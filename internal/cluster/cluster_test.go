@@ -64,7 +64,7 @@ func testRows(n, width int, seed int64) [][]float64 {
 	return rows
 }
 
-// testCluster is N in-process workers behind real HTTP listeners plus a
+// testCluster is N workers behind real HTTP listeners plus a
 // coordinator whose background cadences are parked so tests drive every
 // merge explicitly via MergeNow.
 type testCluster struct {
@@ -436,100 +436,25 @@ func TestIngestDecayConflict(t *testing.T) {
 	}
 }
 
-// TestLocalWorkersEquivalence pins the in-process transport (the shape
-// rrbench measures): rows fanned out to LocalWorkers by direct call
-// must publish the identical model an HTTP-transport cluster publishes
-// from the same rows — same fold, same snapshot-pull merge, same gate —
-// and per-row error events must keep their input positions through the
-// chunk-splitting (flushMixed) path.
-func TestLocalWorkersEquivalence(t *testing.T) {
-	const n, width = 4000, 8
-	rows := testRows(n, width, 99)
-	rows[777] = []float64{1, 2, math.Inf(1), 4, 5, 6, 7, 8}
-	ctx := context.Background()
-
-	run := func(local bool) (*core.Rules, int, int) {
-		store := &memStore{}
-		mgr, err := online.NewManager(store, online.Config{Seed: 42, RepublishRows: 1 << 30})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mgr.Close()
-		cfg := Config{
-			Manager:       mgr,
-			Metrics:       obs.NewRegistry(),
-			ChunkRows:     64,
-			PullEvery:     time.Hour,
-			HealthEvery:   time.Hour,
-			RepublishRows: 1 << 30,
-		}
-		if local {
-			for i := 0; i < 4; i++ {
-				cfg.LocalWorkers = append(cfg.LocalWorkers, NewWorker())
-			}
-		} else {
-			for i := 0; i < 4; i++ {
-				srv := httptest.NewServer(NewWorker().Handler())
-				defer srv.Close()
-				cfg.Workers = append(cfg.Workers, srv.URL)
-			}
-		}
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Start()
-		defer c.Close(ctx)
-		sess, err := c.Ingest(ctx, "m", 0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		accepted, rejected := pushAll(t, sess, rows)
-		if err := c.MergeNow(ctx, "m"); err != nil {
-			t.Fatal(err)
-		}
-		r, _, ok := store.GetWithVersion("m")
-		if !ok {
-			t.Fatal("merge published nothing")
-		}
-		return r, accepted, rejected
-	}
-
-	localRules, la, lr := run(true)
-	httpRules, ha, hr := run(false)
-	if la != n-1 || lr != 1 {
-		t.Fatalf("local transport accepted %d rejected %d, want %d / 1", la, lr, n-1)
-	}
-	if ha != la || hr != lr {
-		t.Fatalf("transports disagree: local %d/%d, http %d/%d", la, lr, ha, hr)
-	}
-	if localRules.TrainedRows() != httpRules.TrainedRows() {
-		t.Fatalf("trained rows: local %d, http %d", localRules.TrainedRows(), httpRules.TrainedRows())
-	}
-	le, he := localRules.Eigenvalues(), httpRules.Eigenvalues()
-	if len(le) != len(he) {
-		t.Fatalf("k: local %d, http %d", len(le), len(he))
-	}
-	for i := range he {
-		if relDiff(le[i], he[i]) > 1e-12 {
-			t.Fatalf("eigenvalue %d: local %v, http %v", i, le[i], he[i])
-		}
-	}
-}
-
-// TestLocalWorkerErrorPositions pins the exact input positions of error
+// TestWorkerErrorPositions pins the exact input positions of error
 // events through the batched-validation path: a non-finite row mid-chunk
 // splits the chunk, and its error event lands between the acks for the
 // rows around it.
-func TestLocalWorkerErrorPositions(t *testing.T) {
+func TestWorkerErrorPositions(t *testing.T) {
 	store := &memStore{}
 	mgr, err := online.NewManager(store, online.Config{Seed: 1, RepublishRows: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
+	var urls []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(NewWorker().Handler())
+		defer srv.Close()
+		urls = append(urls, srv.URL)
+	}
 	c, err := New(Config{
-		LocalWorkers:  []*Worker{NewWorker(), NewWorker()},
+		Workers:       urls,
 		Manager:       mgr,
 		Metrics:       obs.NewRegistry(),
 		ChunkRows:     16,

@@ -53,16 +53,6 @@ type Config struct {
 	// Workers is the initial member list (base URLs, e.g.
 	// "http://10.0.0.7:9301"). More can join at runtime.
 	Workers []string
-	// LocalWorkers are in-process worker nodes, dispatched by direct
-	// call instead of HTTP: chunks skip framing, checksums, and the
-	// loopback hop entirely and fold synchronously while still
-	// cache-hot. They join the same hash ring as Workers (and can mix
-	// with them), which is what rrbench's cluster experiment uses to
-	// measure the sharded pipeline itself rather than kernel socket
-	// throughput. Shard pulls go through the same checksummed Snapshot
-	// document remote pulls use, so merge-side verification is
-	// identical.
-	LocalWorkers []*Worker
 	// Manager runs the merge-side gate and publish; required.
 	Manager *online.Manager
 	// ChunkRows, PullEvery, PullRetries, Backoff, HealthEvery,
@@ -120,11 +110,9 @@ func (c Config) withDefaults() Config {
 }
 
 // member is one worker as the coordinator sees it. Fields are guarded
-// by the coordinator's mu. local is set for in-process workers, whose
-// transport is a direct call.
+// by the coordinator's mu.
 type member struct {
 	url      string
-	local    *Worker
 	healthy  bool
 	instance string // last instance reported by /healthz
 	lastErr  string
@@ -190,14 +178,8 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[u] = true
 		c.members = append(c.members, &member{url: u})
 	}
-	for _, w := range cfg.LocalWorkers {
-		if w == nil {
-			continue
-		}
-		c.members = append(c.members, &member{url: "inproc://" + w.Instance(), local: w})
-	}
 	if len(c.members) == 0 {
-		return nil, errors.New("cluster: coordinator requires at least one worker (URL or local)")
+		return nil, errors.New("cluster: coordinator requires at least one worker URL")
 	}
 	c.ring = buildRing(nil)
 	return c, nil
@@ -298,19 +280,6 @@ func (c *Coordinator) Join(rawURL string) error {
 // until the process restarts under a new instance — readmitting it
 // would double-count the resharded rows on merge.
 func (c *Coordinator) probe(m *member) {
-	if m.local != nil {
-		c.mu.Lock()
-		m.instance = m.local.Instance()
-		if c.tainted[m.instance] {
-			m.healthy = false
-			m.lastErr = "instance tainted by a failed fan-out"
-		} else {
-			m.healthy = true
-			m.lastErr = ""
-		}
-		c.mu.Unlock()
-		return
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/healthz", nil)
@@ -550,17 +519,6 @@ func (c *Coordinator) pullShard(ctx context.Context, m *member, name string) (sm
 }
 
 func (c *Coordinator) pullShardOnce(ctx context.Context, m *member, name string) (*core.StreamMiner, string, bool, error) {
-	if m.local != nil {
-		body, ok, err := m.local.Snapshot(name)
-		if err != nil || !ok {
-			return nil, "", false, err
-		}
-		doc, sm, err := DecodeShard(body)
-		if err != nil {
-			return nil, "", false, err
-		}
-		return sm, doc.Instance, true, nil
-	}
 	rctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodGet,

@@ -72,19 +72,15 @@ type Session struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	fifo     []*inflight
-	streams  map[*member]fanoutStream
+	streams  map[*member]*workerStream
 	fatal    error
 	emitting bool
 	closed   bool
 
 	span *trace.Span
-	// tctx carries the fanout span for in-process folds: a local
-	// worker's FoldChunk attaches its cluster.fold span directly into
-	// this session's trace instead of continuing it by wire context.
-	tctx context.Context
 	// traceCtx is the fanout span's W3C traceparent, stamped into every
-	// chunk (v2 frames on the wire, Chunk.Trace in process) so worker
-	// fold spans continue this session's trace across the node boundary.
+	// chunk's v2 frame so worker fold spans continue this session's
+	// trace across the node boundary.
 	traceCtx string
 	rows     int64
 	// sentTo records every member URL that received chunks, published on
@@ -104,7 +100,7 @@ func (c *Coordinator) Ingest(ctx context.Context, name string, decay float64, ex
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
-	fctx, span := trace.Start(ctx, "cluster.fanout")
+	_, span := trace.Start(ctx, "cluster.fanout")
 	if span != nil {
 		span.SetAttr("model", name)
 	}
@@ -119,9 +115,8 @@ func (c *Coordinator) Ingest(ctx context.Context, name string, decay float64, ex
 		sem:      make(chan struct{}, maxInflightChunks),
 		acks:     make(chan AckEvent, maxInflightChunks),
 		free:     make(chan []float64, maxInflightChunks+2),
-		streams:  make(map[*member]fanoutStream),
+		streams:  make(map[*member]*workerStream),
 		span:     span,
-		tctx:     fctx,
 		sentTo:   make(map[string]bool),
 	}
 	if span != nil {
@@ -387,7 +382,7 @@ func (s *Session) Close() error {
 	_ = s.flushChunk()
 	s.mu.Lock()
 	s.closed = true
-	streams := make([]fanoutStream, 0, len(s.streams))
+	streams := make([]*workerStream, 0, len(s.streams))
 	for _, ws := range s.streams {
 		streams = append(streams, ws)
 	}
@@ -454,41 +449,6 @@ func ackError(code uint32) error {
 	}
 }
 
-// fanoutStream is one dispatch target: a full-duplex HTTP stream for a
-// remote worker, a direct call for an in-process one.
-type fanoutStream interface {
-	trySend(*inflight) bool
-	shutdown()
-	wait()
-}
-
-// localStream dispatches chunks to an in-process worker by direct
-// call: no framing, no checksums, no goroutine handoff. The chunk is
-// folded synchronously, immediately after the session built it — while
-// its payload is still cache-hot — which is what lets an in-process
-// cluster beat the single-node per-row fold on one core.
-type localStream struct {
-	s *Session
-	m *member
-}
-
-func (ls *localStream) trySend(inf *inflight) bool {
-	ack := ls.m.local.FoldChunk(ls.s.tctx, ls.s.name, Chunk{
-		Seq: inf.seq, Width: ls.s.width, Decay: ls.s.decay,
-		Trace: ls.s.traceCtx, Rows: inf.payload,
-	})
-	var err error
-	if ack.Code != AckOK {
-		err = ackError(ack.Code)
-	}
-	ls.s.c.met.chunks.With("ok").Inc()
-	ls.s.onAcked(inf, err)
-	return true
-}
-
-func (ls *localStream) shutdown() {}
-func (ls *localStream) wait()     {}
-
 // workerStream is one full-duplex fan-out connection: a sender feeding
 // encoded chunks into the request body pipe and an ack reader matching
 // response frames back to inflight chunks in FIFO order.
@@ -531,16 +491,11 @@ func (ws *workerStream) trySend(inf *inflight) bool {
 // fan-out stream opens; the stream itself is unbounded.
 const openHeadersTimeout = 10 * time.Second
 
-// openStream builds the dispatch target for a member: a direct-call
-// stream for in-process workers, otherwise a dial of the worker's
-// ingest endpoint. The worker writes its response headers before
-// reading any body, so Do returns as soon as the stream is live; a
-// worker that accepts the connection but never answers is cut off by
-// openHeadersTimeout. No session lock is held.
-func (s *Session) openStream(m *member) (fanoutStream, error) {
-	if m.local != nil {
-		return &localStream{s: s, m: m}, nil
-	}
+// openStream dials a member's ingest endpoint. The worker writes its
+// response headers before reading any body, so Do returns as soon as
+// the stream is live; a worker that accepts the connection but never
+// answers is cut off by openHeadersTimeout. No session lock is held.
+func (s *Session) openStream(m *member) (*workerStream, error) {
 	pr, pw := io.Pipe()
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v1/cluster/ingest/"+s.escName, pr)
@@ -736,23 +691,8 @@ func (s *Session) reshard(inf *inflight, tried map[*member]bool) {
 	}
 }
 
-// postChunk sends one chunk as a plain request/response exchange (or a
-// direct fold for an in-process survivor).
+// postChunk sends one chunk as a plain request/response exchange.
 func (s *Session) postChunk(m *member, inf *inflight) error {
-	if m.local != nil {
-		ack := m.local.FoldChunk(s.tctx, s.name, Chunk{
-			Seq: inf.seq, Width: s.width, Decay: s.decay,
-			Trace: s.traceCtx, Rows: inf.payload,
-		})
-		var ackErr error
-		if ack.Code != AckOK {
-			ackErr = ackError(ack.Code)
-		}
-		s.c.met.chunks.With("resharded").Inc()
-		s.noteSent(m)
-		s.onAcked(inf, ackErr)
-		return nil
-	}
 	body := AppendChunkTrace(nil, inf.seq, s.width, s.decay, s.traceCtx, inf.payload)
 	resp, err := s.c.client.Post(m.url+"/v1/cluster/ingest/"+s.escName,
 		"application/octet-stream", bytes.NewReader(body))

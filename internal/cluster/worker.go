@@ -65,8 +65,8 @@ func WithWorkerObs(reg *obs.Registry) WorkerOption {
 }
 
 // WithWorkerTracer records cluster.fold spans on t. Chunks carrying a
-// coordinator trace context (v2 frames, or Chunk.Trace in process)
-// continue that trace, so one trace ID spans the fan-out across nodes.
+// coordinator trace context (v2 frames) continue that trace, so one
+// trace ID spans the fan-out across nodes.
 func WithWorkerTracer(t *trace.Tracer) WorkerOption {
 	return func(c *workerConfig) { c.tracer = t }
 }
@@ -191,17 +191,16 @@ func ackResult(code uint32) string {
 	}
 }
 
-// FoldChunk applies one chunk to the named shard and builds its ack.
-// It is the worker's fold entry for both transports: serveIngest calls
-// it per decoded wire frame, and in-process coordinators (see
-// Config.LocalWorkers) call it directly with the chunk they just
-// built — same validation, same all-or-nothing PushBatch, no wire.
+// FoldChunk applies one chunk to the named shard and builds its ack:
+// width and decay must match the shard, and the rows fold by one
+// all-or-nothing PushBatch. serveIngest calls it per decoded wire
+// frame.
 //
 // Each fold records a "cluster.fold" span: a child of the trace in ctx
-// when one is active (in-process transport, where the coordinator's
-// fanout span is live on this tracer), otherwise a continuation root
-// parented on the chunk's remote trace context — so either way the
-// span carries the coordinator's trace ID across the fold.
+// when one is active (such as the fold_stream span serveIngest opens
+// for a traced stream), otherwise a continuation root parented on the chunk's
+// remote trace context — so either way the span carries the
+// coordinator's trace ID across the fold.
 func (w *Worker) FoldChunk(ctx context.Context, name string, c Chunk) Ack {
 	_, sp := trace.Start(ctx, "cluster.fold")
 	if sp == nil && w.tracer != nil && c.Trace != "" {

@@ -88,27 +88,3 @@ func (s SparseVec) ToDense() []float64 {
 	}
 	return out
 }
-
-// DotSparse returns the inner product of two sparse vectors of equal
-// length.
-func DotSparse(a, b SparseVec) (float64, error) {
-	if a.Len != b.Len {
-		return 0, fmt.Errorf("matrix: sparse dot of lengths %d and %d: %w",
-			a.Len, b.Len, ErrDimensionMismatch)
-	}
-	var sum float64
-	i, j := 0, 0
-	for i < len(a.Idx) && j < len(b.Idx) {
-		switch {
-		case a.Idx[i] < b.Idx[j]:
-			i++
-		case a.Idx[i] > b.Idx[j]:
-			j++
-		default:
-			sum += a.Val[i] * b.Val[j]
-			i++
-			j++
-		}
-	}
-	return sum, nil
-}

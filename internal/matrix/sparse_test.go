@@ -2,10 +2,7 @@ package matrix
 
 import (
 	"errors"
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewSparseVec(t *testing.T) {
@@ -65,47 +62,4 @@ func TestSparseAtPanics(t *testing.T) {
 		}
 	}()
 	s.At(5)
-}
-
-func TestDotSparse(t *testing.T) {
-	a := SparsifyRow([]float64{1, 0, 2, 0, 3}, 0)
-	b := SparsifyRow([]float64{0, 5, 2, 0, 1}, 0)
-	got, err := DotSparse(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 7 { // 2*2 + 3*1
-		t.Errorf("DotSparse = %v, want 7", got)
-	}
-	if _, err := DotSparse(a, SparsifyRow([]float64{1}, 0)); !errors.Is(err, ErrDimensionMismatch) {
-		t.Errorf("err = %v, want ErrDimensionMismatch", err)
-	}
-}
-
-// Property: sparse dot agrees with the dense dot for random sparse rows.
-func TestDotSparseAgreesWithDenseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		a := randomSparseRow(rng, n)
-		b := randomSparseRow(rng, n)
-		sparse, err := DotSparse(SparsifyRow(a, 0), SparsifyRow(b, 0))
-		if err != nil {
-			return false
-		}
-		return math.Abs(sparse-Dot(a, b)) <= 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func randomSparseRow(rng *rand.Rand, n int) []float64 {
-	row := make([]float64, n)
-	for j := range row {
-		if rng.Float64() < 0.3 {
-			row[j] = rng.NormFloat64()
-		}
-	}
-	return row
 }

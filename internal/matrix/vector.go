@@ -48,15 +48,6 @@ func AxpyInto(dst []float64, a float64, x, y []float64) {
 	}
 }
 
-// ScaleVec returns a·x as a new slice.
-func ScaleVec(a float64, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = a * v
-	}
-	return out
-}
-
 // AddVec returns x+y as a new slice. It panics if the lengths differ.
 func AddVec(x, y []float64) []float64 {
 	if len(x) != len(y) {

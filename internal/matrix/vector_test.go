@@ -69,9 +69,6 @@ func TestAxpyInto(t *testing.T) {
 }
 
 func TestVecArithmetic(t *testing.T) {
-	if got := ScaleVec(3, []float64{1, -2}); !EqualApproxVec(got, []float64{3, -6}, 0) {
-		t.Errorf("ScaleVec = %v", got)
-	}
 	if got := AddVec([]float64{1, 2}, []float64{3, 4}); !EqualApproxVec(got, []float64{4, 6}, 0) {
 		t.Errorf("AddVec = %v", got)
 	}

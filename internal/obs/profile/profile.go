@@ -8,8 +8,8 @@
 //
 // Overhead is bounded by construction: the CPU profiler runs
 // CPUDuration out of every Interval (50ms/min by default at the
-// rrserve flags; the BENCH_PR9 experiment measures the ingest-path
-// cost), snapshots are two pprof.Lookup writes per cycle, and the ring
+// rrserve flags, a ~0.08% duty cycle), snapshots are two pprof.Lookup
+// writes per cycle, and the ring
 // evicts oldest-first under both an entry cap and a byte cap, so
 // retention can never grow with uptime.
 package profile

@@ -265,11 +265,11 @@ func TestRegressionAlertFiresOnDrift(t *testing.T) {
 	}
 }
 
-// TestAutoRollbackRestoresBestVersion is the tentpole scenario end to
-// end at the manager level: a clean v1, a drift burst force-promoted
-// past the gate (huge slack) as v2, the regression alert fires, and the
-// policy rolls the head back to v1's rules because they beat v2 on the
-// current holdout.
+// TestAutoRollbackRestoresBestVersion is the drift scenario end to end
+// at the manager level: a clean v1, a drift burst force-promoted past
+// the gate (huge slack) as v2, the regression alert fires, the policy
+// rolls the head back to v1's rules because they beat v2 on the current
+// holdout, and the served GE recovers.
 func TestAutoRollbackRestoresBestVersion(t *testing.T) {
 	vs := newVersionedStore()
 	reg := obs.NewRegistry()
@@ -311,7 +311,7 @@ func TestAutoRollbackRestoresBestVersion(t *testing.T) {
 
 	// One more bad sample fires the regression rule (baseline 3 clean,
 	// recent 2 bad) and the policy must roll back within this call.
-	evalGEOK(t, m, "m")
+	fired := evalGEOK(t, m, "m")
 
 	head := vs.headVersion("m")
 	if head != 3 {
@@ -334,6 +334,13 @@ func TestAutoRollbackRestoresBestVersion(t *testing.T) {
 	h, _ := m.Health("m")
 	if h.AutoRollbacks != 1 || h.ServingVersion != 3 {
 		t.Fatalf("health after rollback = %+v", h)
+	}
+
+	// Recovery: the restored rules score better on the same holdout
+	// than the drifted model whose eval fired the alert.
+	if after := evalGEOK(t, m, "m"); after.ServedGE >= fired.ServedGE {
+		t.Fatalf("served GE after rollback = %v, want below the alerting %v",
+			after.ServedGE, fired.ServedGE)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ratiorules/internal/linsolve"
 	"ratiorules/internal/matrix"
 	"ratiorules/internal/svd"
 )
@@ -37,8 +36,9 @@ type Model struct {
 }
 
 // Fit trains a per-column multiple linear regression on x.
-// It needs at least M+1 rows; near-collinear designs fall back to the
-// minimum-norm least-squares solution.
+// It needs at least M+1 rows. Each column's weights are the
+// minimum-norm least-squares solution, so near-collinear designs fit
+// too.
 func Fit(x *matrix.Dense) (*Model, error) {
 	n, m := x.Dims()
 	if m < 2 {
@@ -70,15 +70,9 @@ func Fit(x *matrix.Dense) (*Model, error) {
 			drow[m-1] = 1
 			rhs[i] = row[j]
 		}
-		w, err := linsolve.SolveLeastSquares(design, rhs)
+		w, err := svd.SolveLeastSquares(design, rhs)
 		if err != nil {
-			if !errors.Is(err, linsolve.ErrSingular) {
-				return nil, fmt.Errorf("regress: fitting column %d: %w", j, err)
-			}
-			w, err = svd.SolveLeastSquares(design, rhs)
-			if err != nil {
-				return nil, fmt.Errorf("regress: fitting singular column %d: %w", j, err)
-			}
+			return nil, fmt.Errorf("regress: fitting column %d: %w", j, err)
 		}
 		full := make([]float64, m)
 		c := 0

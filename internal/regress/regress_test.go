@@ -130,8 +130,8 @@ func TestWidth(t *testing.T) {
 }
 
 func TestFitCollinearFallsBack(t *testing.T) {
-	// Columns 0 and 1 identical: the design is singular; the pseudo-inverse
-	// fallback must still produce a usable model.
+	// Columns 0 and 1 identical: the design is singular; the minimum-norm
+	// least-squares fit must still produce a usable model.
 	rng := rand.New(rand.NewSource(65))
 	x := matrix.NewDense(50, 3)
 	for i := 0; i < 50; i++ {

@@ -1,8 +1,8 @@
 // Package stats implements the streaming statistics that make Ratio Rules
 // mining single-pass: the column-average and covariance accumulation of
 // Fig. 2(a) in Korn et al. (VLDB 1998), together with the helper statistics
-// (RMS, standard deviations, z-scores) the guessing-error and outlier
-// machinery needs.
+// (RMS, mean, median and MAD) the guessing-error and outlier machinery
+// needs.
 package stats
 
 import (
@@ -316,20 +316,6 @@ func (c *CovAccumulator) Scatter() (*matrix.Dense, error) {
 	return out, nil
 }
 
-// Covariance returns the sample covariance matrix Scatter()/(N−1).
-// With a single row it returns ErrNoData since the sample covariance is
-// undefined.
-func (c *CovAccumulator) Covariance() (*matrix.Dense, error) {
-	if c.n < 2 {
-		return nil, fmt.Errorf("stats: covariance needs at least 2 rows, have %d: %w", c.n, ErrNoData)
-	}
-	s, err := c.Scatter()
-	if err != nil {
-		return nil, err
-	}
-	return matrix.Scale(1/float64(c.n-1), s), nil
-}
-
 // CovState is an accumulator's complete state in plain fields; its JSON
 // form is the body of a stream checkpoint. Cross holds the upper
 // triangle: row j from column j on.
@@ -475,21 +461,6 @@ func ScatterTwoPass(x *matrix.Dense) (*matrix.Dense, []float64) {
 	return out, means
 }
 
-// ColStdDevs returns the per-column sample standard deviations of x.
-// Columns of a matrix with fewer than two rows get 0.
-func ColStdDevs(x *matrix.Dense) []float64 {
-	n, m := x.Dims()
-	out := make([]float64, m)
-	if n < 2 {
-		return out
-	}
-	scatter, _ := ScatterTwoPass(x)
-	for j := 0; j < m; j++ {
-		out[j] = math.Sqrt(scatter.At(j, j) / float64(n-1))
-	}
-	return out
-}
-
 // RMS returns the root-mean-square of the values, or 0 for an empty slice.
 func RMS(values []float64) float64 {
 	if len(values) == 0 {
@@ -512,30 +483,6 @@ func Mean(values []float64) float64 {
 		s += v
 	}
 	return s / float64(len(values))
-}
-
-// StdDev returns the sample standard deviation, or 0 with fewer than two
-// values.
-func StdDev(values []float64) float64 {
-	n := len(values)
-	if n < 2 {
-		return 0
-	}
-	mu := Mean(values)
-	var s float64
-	for _, v := range values {
-		d := v - mu
-		s += d * d
-	}
-	return math.Sqrt(s / float64(n-1))
-}
-
-// ZScore returns (v − mean)/std, or 0 when std is 0.
-func ZScore(v, mean, std float64) float64 {
-	if std == 0 {
-		return 0
-	}
-	return (v - mean) / std
 }
 
 // Median returns the middle value (average of the two middles for even
