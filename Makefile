@@ -42,8 +42,10 @@ lint:
 # packages whose tests are timing-sensitive: store recovery on fresh temp
 # dirs, online republish scheduling and the GE alert path, the alert
 # engine's state machines, cluster fan-out teardown, replica
-# reconnect/stall, fleet scrape fan-out and profile-ring eviction, and
-# admission's bounded waits and reloads. Last, it vets and tests the
+# reconnect/stall, fleet scrape fan-out and profile-ring eviction,
+# admission's bounded waits and reloads, and the server's NDJSON
+# streams, whose flush points depend on timing between the body reader,
+# the worker pool and the response writer. Last, it vets and tests the
 # perfbench module: perfbench is a nested module, so the root ./...
 # never compiles it, and a deleted API it calls would otherwise surface
 # only when the benchmark runs. (Lint is a separate CI step — it may
@@ -54,7 +56,7 @@ verify:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/store ./internal/online ./internal/obs/alert \
 		./internal/cluster ./internal/replica ./internal/obs/fleet ./internal/obs/profile \
-		./internal/admission
+		./internal/admission ./internal/server
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # fuzz runs every fuzz target in the module for FUZZTIME (default 10s).
@@ -68,6 +70,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzCSVSource$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSymEig$$' -fuzztime=$(FUZZTIME) ./internal/eigen
+	$(GO) test -run='^$$' -fuzz='^FuzzRowCodec$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 bench:
 	$(GO) run ./cmd/rrbench -experiment all

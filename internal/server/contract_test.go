@@ -396,66 +396,161 @@ func TestV1ContractBatchArray(t *testing.T) {
 }
 
 // TestV1ContractBatchStreams proves results are flushed before the
-// request body ends: a raw HTTP/1.1 client sends one chunked row,
-// reads its result line while the request is still open, then sends
-// the next row. (net/http's client buffers chunked request bodies, so
-// this full-duplex exchange needs a hand-rolled socket.)
+// request body ends, on both full-duplex NDJSON routes: a raw HTTP/1.1
+// client sends one chunked row, reads its result line while the request
+// is still open, then sends the next row. (net/http's client buffers
+// chunked request bodies, so this full-duplex exchange needs a
+// hand-rolled socket.)
 func TestV1ContractBatchStreams(t *testing.T) {
-	ts := contractServer(t)
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		route, first, second string
+		// check asserts the shape of the result line for row index.
+		check func(t *testing.T, index int, line []byte)
+	}{
+		{
+			route: "/v1/rules/m/batch/fill",
+			first: `{"record":[3,0],"holes":[1]}`, second: `{"record":[4,0],"holes":[1]}`,
+			check: func(t *testing.T, index int, line []byte) {
+				var l batchLine
+				if err := json.Unmarshal(line, &l); err != nil {
+					t.Fatalf("streamed line %q: %v", line, err)
+				}
+				if l.Index != index || l.Error != nil || len(l.Filled) != 2 {
+					t.Fatalf("streamed line %d: %+v", index, l)
+				}
+			},
+		},
+		{
+			route: "/v1/rules/live/ingest",
+			first: `[3,6]`, second: `{"row":[4,8]}`,
+			check: func(t *testing.T, index int, line []byte) {
+				var l ingestLine
+				if err := json.Unmarshal(line, &l); err != nil {
+					t.Fatalf("streamed line %q: %v", line, err)
+				}
+				if l.Index != index || l.Error != nil || l.Done != nil || l.Count != index+1 {
+					t.Fatalf("streamed line %d: %+v", index, l)
+				}
+			},
+		},
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	for _, tc := range cases {
+		t.Run(tc.route, func(t *testing.T) {
+			ts := contractServer(t)
+			conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
 
-	fmt.Fprintf(conn, "POST /v1/rules/m/batch/fill HTTP/1.1\r\n"+
-		"Host: contract-test\r\nContent-Type: %s\r\nTransfer-Encoding: chunked\r\n\r\n",
-		ndjsonContentType)
-	chunk := func(s string) {
-		t.Helper()
-		if _, err := fmt.Fprintf(conn, "%x\r\n%s\r\n", len(s), s); err != nil {
-			t.Fatal(err)
+			fmt.Fprintf(conn, "POST %s HTTP/1.1\r\n"+
+				"Host: contract-test\r\nContent-Type: %s\r\nTransfer-Encoding: chunked\r\n\r\n",
+				tc.route, ndjsonContentType)
+			chunk := func(s string) {
+				t.Helper()
+				if _, err := fmt.Fprintf(conn, "%x\r\n%s\r\n", len(s), s); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			chunk(tc.first + "\n")
+			br := bufio.NewReader(conn)
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("reading response headers mid-request: %v", err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200", resp.StatusCode)
+			}
+			lines := bufio.NewScanner(resp.Body)
+			if !lines.Scan() {
+				t.Fatalf("no result line streamed while request body still open: %v", lines.Err())
+			}
+			tc.check(t, 0, lines.Bytes())
+
+			// Second row only goes out after the first result arrived:
+			// the exchange is genuinely incremental.
+			chunk(tc.second + "\n")
+			fmt.Fprint(conn, "0\r\n\r\n") // terminal chunk: request body done
+			if !lines.Scan() {
+				t.Fatalf("second line missing: %v", lines.Err())
+			}
+			tc.check(t, 1, lines.Bytes())
+			for lines.Scan() {
+				var l ingestLine
+				if err := json.Unmarshal(lines.Bytes(), &l); err != nil || l.Done == nil {
+					t.Fatalf("unexpected extra line %q", lines.Text())
+				}
+			}
+		})
+	}
+}
+
+// TestV1ContractNDJSONFraming pins the NDJSON line framing shared by
+// the batch and ingest routes: a last line without its newline is still
+// a row, CRLF line ends are accepted, and a line over the 4 MiB cap
+// ends the stream with one bad_request line in its slot.
+func TestV1ContractNDJSONFraming(t *testing.T) {
+	long := "[" + strings.Repeat("1,", maxBatchLineBytes/2) + "1]"
+	routes := []struct {
+		path, row string
+		ingest    bool
+	}{
+		{"/v1/rules/m/batch/fill", `{"record":[3,0],"holes":[1]}`, false},
+		{"/v1/rules/live/ingest", `[3,6]`, true},
+	}
+	framings := []struct {
+		label, body string
+		okRows      int  // leading rows answered by a success line
+		badLast     bool // then one bad_request line ends the stream
+	}{
+		{"no final newline", "%[1]s\n%[1]s", 2, false},
+		{"CRLF", "%[1]s\r\n%[1]s\r\n\r\n%[1]s\r\n", 3, false},
+		{"line over cap", "%[1]s\n" + long + "\n%[1]s\n", 1, true},
+	}
+	for _, rt := range routes {
+		for _, fr := range framings {
+			t.Run(rt.path+"/"+fr.label, func(t *testing.T) {
+				// A server of its own: after a stream the server ends
+				// early, net/http may drop the keep-alive connection.
+				ts := contractServer(t)
+				resp := doRaw(t, "POST", ts.URL+rt.path, ndjsonContentType, fmt.Sprintf(fr.body, rt.row))
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d, want 200", resp.StatusCode)
+				}
+				var lines []batchLine
+				if rt.ingest {
+					acks, done := readIngestLines(t, resp)
+					for _, a := range acks {
+						lines = append(lines, batchLine{Index: a.Index, Error: a.Error})
+					}
+					if done.Done.Rows != len(acks) || done.Done.Errors != len(acks)-fr.okRows {
+						t.Fatalf("done summary %+v for %d row lines", *done.Done, len(acks))
+					}
+				} else {
+					lines = readNDJSON(t, resp)
+				}
+				want := fr.okRows
+				if fr.badLast {
+					want++
+				}
+				if len(lines) != want {
+					t.Fatalf("got %d row lines, want %d: %+v", len(lines), want, lines)
+				}
+				for i, l := range lines {
+					if l.Index != i {
+						t.Fatalf("line %d carries index %d", i, l.Index)
+					}
+					if i < fr.okRows && l.Error != nil {
+						t.Fatalf("line %d: unexpected error %+v", i, l.Error)
+					}
+				}
+				if last := lines[len(lines)-1]; fr.badLast && (last.Error == nil || last.Error.Code != CodeBadRequest) {
+					t.Fatalf("oversized line: want bad_request in its slot, got %+v", last)
+				}
+			})
 		}
-	}
-
-	chunk(`{"record":[3,0],"holes":[1]}` + "\n")
-	br := bufio.NewReader(conn)
-	resp, err := http.ReadResponse(br, nil)
-	if err != nil {
-		t.Fatalf("reading response headers mid-request: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	lines := bufio.NewScanner(resp.Body)
-	if !lines.Scan() {
-		t.Fatalf("no result line streamed while request body still open: %v", lines.Err())
-	}
-	var first batchLine
-	if err := json.Unmarshal(lines.Bytes(), &first); err != nil {
-		t.Fatalf("first streamed line %q: %v", lines.Text(), err)
-	}
-	if first.Index != 0 || first.Error != nil || len(first.Filled) != 2 {
-		t.Fatalf("first streamed line: %+v", first)
-	}
-
-	// Second row only goes out after the first result arrived: the
-	// exchange is genuinely incremental.
-	chunk(`{"record":[4,0],"holes":[1]}` + "\n")
-	fmt.Fprint(conn, "0\r\n\r\n") // terminal chunk: request body done
-	if !lines.Scan() {
-		t.Fatalf("second line missing: %v", lines.Err())
-	}
-	var second batchLine
-	if err := json.Unmarshal(lines.Bytes(), &second); err != nil {
-		t.Fatalf("second streamed line %q: %v", lines.Text(), err)
-	}
-	if second.Index != 1 || second.Error != nil {
-		t.Fatalf("second streamed line: %+v", second)
-	}
-	if lines.Scan() {
-		t.Fatalf("unexpected extra line %q", lines.Text())
 	}
 }

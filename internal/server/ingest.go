@@ -25,12 +25,6 @@ import (
 	"ratiorules/internal/online"
 )
 
-// ingestAck is the per-row success line of POST ingest.
-type ingestAck struct {
-	Index int `json:"index"`
-	Count int `json:"count"` // stream row total after this row
-}
-
 // ingestDone is the final summary line of POST ingest.
 type ingestDone struct {
 	Rows     int `json:"rows"`     // input lines seen
@@ -61,8 +55,16 @@ func queryDecay(w http.ResponseWriter, req *http.Request) (decay float64, explic
 }
 
 // decodeIngestRow parses one input line: a bare JSON array of numbers,
-// or an object with a "row" field.
-func decodeIngestRow(raw json.RawMessage) ([]float64, error) {
+// or an object with a "row" field. The row codec decodes those into
+// dec's reused buffer (the stream copies what it keeps); any other line
+// goes to encoding/json, which decides its error.
+func decodeIngestRow(dec *rowDecoder, raw []byte) ([]float64, error) {
+	if row, ok := dec.array(raw); ok {
+		return row, nil
+	}
+	if row, _, ok := dec.object(raw, "row", false); ok {
+		return row, nil
+	}
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) > 0 && trimmed[0] == '{' {
 		var obj struct {
@@ -141,13 +143,19 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 	defer gate.Close()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
-	lw := newLineWriter(w)
-	defer lw.release()
+	lw := newLineWriter(w, rc)
+	defer lw.close()
 
 	var done ingestDone
+	var dec rowDecoder
 	shed := false
 	for index := 0; ; index++ {
-		raw, rowErr, more := src()
+		// Acks wait in the buffer only while the next row is already
+		// here: before a read that may block on the client, send them.
+		if !src.buffered() && !lw.flush() {
+			return
+		}
+		raw, rowErr, more := src.next()
 		if !more || ctx.Err() != nil {
 			break
 		}
@@ -157,7 +165,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 		done.Rows++
 		var row []float64
 		if rowErr == nil {
-			row, rowErr = decodeIngestRow(raw)
+			row, rowErr = decodeIngestRow(&dec, raw)
 		}
 		if rowErr == nil {
 			// The row gate (tenant row bucket) and the fold slot (bounded
@@ -184,7 +192,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 			if rowErr == nil {
 				done.Accepted++
 				done.Count = count
-				if !lw.emit(ingestAck{Index: index, Count: count}) {
+				if !lw.emitAck(index, count) {
 					return
 				}
 				continue
@@ -239,8 +247,8 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	ctx := req.Context()
 	w.Header().Set("Content-Type", ndjsonContentType)
 	w.WriteHeader(http.StatusOK)
-	lw := newLineWriter(w)
-	defer lw.release()
+	lw := newLineWriter(w, rc)
+	defer lw.close()
 
 	// The ack drainer is the only goroutine writing the response while
 	// the request loop below feeds the session; session emission order is
@@ -262,19 +270,22 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 					}
 					accepted++
 					lastCount = base + int64(j) + 1
-					if !lw.emit(ingestAck{Index: index, Count: int(lastCount)}) {
+					if !lw.emitAck(index, int(lastCount)) {
 						return
 					}
 					index++
 				}
-				continue
-			}
-			for j := 0; j < ev.Rows; j++ {
-				errs++
-				if !lw.emitErr(index, ev.Err) {
-					return
+			} else {
+				for j := 0; j < ev.Rows; j++ {
+					errs++
+					if !lw.emitErr(index, ev.Err) {
+						return
+					}
+					index++
 				}
-				index++
+			}
+			if !lw.flush() {
+				return
 			}
 		}
 	}()
@@ -283,8 +294,9 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	defer gate.Close()
 	rows := 0
 	shed := false
+	var dec rowDecoder
 	for {
-		raw, rowErr, more := src()
+		raw, rowErr, more := src.next()
 		if !more || ctx.Err() != nil {
 			break
 		}
@@ -294,7 +306,7 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 		rows++
 		var row []float64
 		if rowErr == nil {
-			row, rowErr = decodeIngestRow(raw)
+			row, rowErr = decodeIngestRow(&dec, raw)
 		}
 		if rowErr == nil {
 			if rowErr = gate.Take(ctx); rowErr != nil {
