@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadRules$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadStreamMiner$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzWALDecode$$' -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz='^FuzzRestoreSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzCSVSource$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSymEig$$' -fuzztime=$(FUZZTIME) ./internal/eigen

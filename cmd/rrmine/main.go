@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -117,7 +118,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		version, err := st.Put(modelName, rules)
+		version, err := st.PutContext(context.Background(), modelName, rules)
 		if err != nil {
 			st.Close()
 			return err

@@ -384,7 +384,7 @@ func run(ctx context.Context, args []string) error {
 	if *follow != "" {
 		fol, err := replica.New(replica.Options{
 			Leader:   *follow,
-			Store:    reg.Store(),
+			Store:    reg.Store,
 			Logger:   logger,
 			Registry: obs.Default(),
 			Tracer:   tracer,

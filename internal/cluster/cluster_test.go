@@ -23,7 +23,7 @@ type memStore struct {
 	versions map[string]int
 }
 
-func (s *memStore) Put(_ context.Context, name string, r *core.Rules) (int, error) {
+func (s *memStore) PutContext(_ context.Context, name string, r *core.Rules) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rules == nil {
@@ -35,7 +35,7 @@ func (s *memStore) Put(_ context.Context, name string, r *core.Rules) (int, erro
 	return s.versions[name], nil
 }
 
-func (s *memStore) GetWithVersion(name string) (*core.Rules, int, bool) {
+func (s *memStore) Get(name string) (*core.Rules, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.rules[name]
@@ -191,7 +191,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 	if err := tc.c.MergeNow(ctx, "m"); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	clustered, _, ok := tc.store.GetWithVersion("m")
+	clustered, _, ok := tc.store.Get("m")
 	if !ok {
 		t.Fatal("cluster merge published nothing")
 	}
@@ -215,7 +215,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 	if _, err := refMgr.Republish(ctx, "m"); err != nil {
 		t.Fatal(err)
 	}
-	single, _, ok := refStore.GetWithVersion("m")
+	single, _, ok := refStore.Get("m")
 	if !ok {
 		t.Fatal("single-node republish published nothing")
 	}
@@ -316,7 +316,7 @@ func TestWorkerFailureDegradedRepublishAndRejoin(t *testing.T) {
 	if st := tc.c.Status(); st.Healthy != 3 || st.Degraded || st.Retained != 3 {
 		t.Fatalf("after round 1: %+v", st)
 	}
-	_, v1, _ := tc.store.GetWithVersion("m")
+	_, v1, _ := tc.store.Get("m")
 
 	// Round 2: kill worker 0 mid-session. Its open fan-out connection
 	// dies, the session reshards the unacked chunks, and every row is
@@ -383,7 +383,7 @@ func TestWorkerFailureDegradedRepublishAndRejoin(t *testing.T) {
 	if tc.c.met.degraded.Value() < 1 {
 		t.Fatal("rr_cluster_degraded_republishes_total did not move")
 	}
-	if _, v2, _ := tc.store.GetWithVersion("m"); v2 <= v1 {
+	if _, v2, _ := tc.store.Get("m"); v2 <= v1 {
 		t.Fatalf("degraded merge published nothing: v1=%d v2=%d", v1, v2)
 	}
 

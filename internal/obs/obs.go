@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -145,16 +144,25 @@ func (f *family) with(values []string) any {
 		panic(fmt.Sprintf("obs: metric %q got %d label values for %d labels",
 			f.name, len(values), len(f.labelNames)))
 	}
-	key := strings.Join(values, labelSep)
+	// The key is built on the stack and looked up as string(key), which
+	// does not allocate: only creating a child copies it to the heap.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, labelSep...)
+		}
+		key = append(key, v...)
+	}
 	f.mu.RLock()
-	c, ok := f.children[key]
+	c, ok := f.children[string(key)]
 	f.mu.RUnlock()
 	if ok {
 		return c.metric
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c, ok := f.children[key]; ok {
+	if c, ok := f.children[string(key)]; ok {
 		return c.metric
 	}
 	var m any
@@ -166,7 +174,7 @@ func (f *family) with(values []string) any {
 	case kindHistogram:
 		m = newHistogram(f.buckets)
 	}
-	f.children[key] = &child{
+	f.children[string(key)] = &child{
 		labelValues: append([]string(nil), values...),
 		metric:      m,
 	}

@@ -142,3 +142,27 @@ func TestDefaultIsSingleton(t *testing.T) {
 		t.Fatal("Default() returned different registries")
 	}
 }
+
+// TestVecLookupAllocs: a warmed labeled lookup allocates nothing. Batch
+// fill looks its row counter up once per row and the HTTP middleware
+// once per request, so a key built on the heap would cost every row.
+func TestVecLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	one := r.CounterVec("one_total", "h", "a")
+	two := r.CounterVec("two_total", "h", "a", "b")
+	three := r.HistogramVec("three_seconds", "h", DefBuckets, "a", "b", "c")
+	lookups := []struct {
+		labels int
+		fn     func()
+	}{
+		{1, func() { one.With("fill").Inc() }},
+		{2, func() { two.With("fill", "ok").Inc() }},
+		{3, func() { three.With("POST", "/v1/rules/{name}/batch/fill", "200").Observe(0.001) }},
+	}
+	for _, l := range lookups {
+		l.fn() // creates the child: the one allocation a label set costs
+		if n := testing.AllocsPerRun(100, l.fn); n != 0 {
+			t.Errorf("%d-label lookup: %v allocs per warmed call, want 0", l.labels, n)
+		}
+	}
+}

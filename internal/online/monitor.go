@@ -27,6 +27,7 @@ import (
 	"ratiorules/internal/matrix"
 	"ratiorules/internal/obs/alert"
 	"ratiorules/internal/obs/trace"
+	"ratiorules/internal/store"
 )
 
 // Monitoring defaults for Config zero values.
@@ -47,12 +48,13 @@ const (
 )
 
 // RollbackStore is the optional store capability auto-rollback needs:
-// reading prior versions and restoring one as the new head. Satisfied
-// by server.Registry; plain ModelStores (e.g. bench fakes) without it
-// simply never roll back.
+// reading prior versions and restoring one as the new head, under
+// store.Store's own method names, so a *store.Store (and the
+// server.Registry embedding one) satisfies it; plain ModelStores
+// without it simply never roll back.
 type RollbackStore interface {
-	GetVersion(name string, version int) (*core.Rules, bool)
-	Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error)
+	Revision(name string, version int) (store.Revision, error)
+	RollbackContext(ctx context.Context, name string, version int) (*core.Rules, int, error)
 }
 
 // GEAnnotator is the optional store capability for attaching the
@@ -129,7 +131,7 @@ func (m *Manager) evalGE(ctx context.Context, name string) (GESample, error) {
 	if len(holdout) == 0 {
 		return GESample{}, fmt.Errorf("%w: %q", errNoHoldout, name)
 	}
-	served, version, ok := m.store.GetWithVersion(name)
+	served, version, ok := m.store.Get(name)
 	if !ok {
 		return GESample{}, fmt.Errorf("%w: %q", errNoServed, name)
 	}
@@ -298,7 +300,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 	if len(holdout) == 0 {
 		return
 	}
-	served, servedVersion, ok := m.store.GetWithVersion(name)
+	served, servedVersion, ok := m.store.Get(name)
 	if !ok {
 		return
 	}
@@ -321,11 +323,11 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 		if v == servedVersion {
 			continue
 		}
-		rules, ok := rb.GetVersion(name, v)
-		if !ok || rules.Width() != served.Width() {
+		r, err := rb.Revision(name, v)
+		if err != nil || r.Rules.Width() != served.Width() {
 			continue
 		}
-		ge, err := core.GE1(rules, test)
+		ge, err := core.GE1(r.Rules, test)
 		if err != nil {
 			continue
 		}
@@ -342,7 +344,7 @@ func (m *Manager) maybeAutoRollback(ctx context.Context, name string, tr alert.T
 		return
 	}
 
-	_, newVersion, err := rb.Rollback(ctx, name, bestVersion)
+	_, newVersion, err := rb.RollbackContext(ctx, name, bestVersion)
 	if err != nil {
 		outcome = "error"
 		m.cfg.Logger.Warn("auto-rollback failed", "model", name,
@@ -413,7 +415,7 @@ func (m *Manager) Health(name string) (ModelHealth, bool) {
 	st.mu.Unlock()
 
 	h := ModelHealth{Name: name, Samples: len(history), AutoRollbacks: autoRollbacks, Status: "ok"}
-	if _, version, ok := m.store.GetWithVersion(name); ok {
+	if _, version, ok := m.store.Get(name); ok {
 		h.ServingVersion = version
 	}
 	series := make([]alert.Sample, len(history))

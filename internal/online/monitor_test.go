@@ -9,6 +9,7 @@ import (
 	"ratiorules/internal/core"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/alert"
+	"ratiorules/internal/store"
 )
 
 // versionedStore extends fakeStore with the RollbackStore capability:
@@ -26,8 +27,8 @@ func newVersionedStore() *versionedStore {
 	}
 }
 
-func (v *versionedStore) Put(ctx context.Context, name string, rules *core.Rules) (int, error) {
-	version, err := v.fakeStore.Put(ctx, name, rules)
+func (v *versionedStore) PutContext(ctx context.Context, name string, rules *core.Rules) (int, error) {
+	version, err := v.fakeStore.PutContext(ctx, name, rules)
 	if err == nil {
 		v.mu.Lock()
 		v.history[name] = append(v.history[name], rules)
@@ -36,7 +37,7 @@ func (v *versionedStore) Put(ctx context.Context, name string, rules *core.Rules
 	return version, err
 }
 
-func (v *versionedStore) GetVersion(name string, version int) (*core.Rules, bool) {
+func (v *versionedStore) version(name string, version int) (*core.Rules, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	h := v.history[name]
@@ -46,12 +47,20 @@ func (v *versionedStore) GetVersion(name string, version int) (*core.Rules, bool
 	return h[version-1], true
 }
 
-func (v *versionedStore) Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error) {
-	rules, ok := v.GetVersion(name, version)
+func (v *versionedStore) Revision(name string, version int) (store.Revision, error) {
+	rules, ok := v.version(name, version)
+	if !ok {
+		return store.Revision{}, store.ErrVersionNotFound
+	}
+	return store.Revision{Version: version, Rules: rules}, nil
+}
+
+func (v *versionedStore) RollbackContext(ctx context.Context, name string, version int) (*core.Rules, int, error) {
+	rules, ok := v.version(name, version)
 	if !ok {
 		return nil, 0, errors.New("no such version")
 	}
-	newVersion, err := v.Put(ctx, name, rules)
+	newVersion, err := v.PutContext(ctx, name, rules)
 	return rules, newVersion, err
 }
 
@@ -317,8 +326,8 @@ func TestAutoRollbackRestoresBestVersion(t *testing.T) {
 	if head != 3 {
 		t.Fatalf("head after rollback = %d, want 3 (v1 republished)", head)
 	}
-	restored, _, _ := vs.GetWithVersion("m")
-	v1, _ := vs.GetVersion("m", 1)
+	restored, _, _ := vs.Get("m")
+	v1, _ := vs.version("m", 1)
 	if restored != v1 {
 		t.Fatal("rolled-back head is not v1's rules")
 	}

@@ -46,12 +46,14 @@ import (
 	"ratiorules/internal/obs/trace"
 )
 
-// ModelStore is where promoted models go — satisfied by server.Registry,
-// so promotions flow through the same versioned, journaled PutContext
-// path as every other mutation (ETags advance, rollback applies).
+// ModelStore is where promoted models go, under store.Store's own
+// method names: a *store.Store (and the server.Registry embedding one)
+// satisfies it, so promotions flow through the same versioned,
+// journaled PutContext path as every other mutation (ETags advance,
+// rollback applies).
 type ModelStore interface {
-	Put(ctx context.Context, name string, rules *core.Rules) (int, error)
-	GetWithVersion(name string) (*core.Rules, int, bool)
+	PutContext(ctx context.Context, name string, rules *core.Rules) (int, error)
+	Get(name string) (*core.Rules, int, bool)
 }
 
 // Sentinel errors mapped to HTTP envelope codes by internal/server.
@@ -665,7 +667,7 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 	}
 
 	if res.Promoted {
-		version, err := m.store.Put(ctx, name, candidate)
+		version, err := m.store.PutContext(ctx, name, candidate)
 		if err != nil {
 			return RepublishResult{}, fmt.Errorf("online: promoting %q: %w", name, err)
 		}
@@ -734,7 +736,7 @@ func (m *Manager) geGate(ctx context.Context, name string, candidate *core.Rules
 		}
 	}()
 
-	served, _, ok := m.store.GetWithVersion(name)
+	served, _, ok := m.store.Get(name)
 	if !ok {
 		return RepublishResult{Promoted: true, Reason: "first_publish"}, nil
 	}

@@ -26,7 +26,7 @@ func newFakeStore() *fakeStore {
 	return &fakeStore{models: make(map[string]*core.Rules), version: make(map[string]int)}
 }
 
-func (f *fakeStore) Put(_ context.Context, name string, rules *core.Rules) (int, error) {
+func (f *fakeStore) PutContext(_ context.Context, name string, rules *core.Rules) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.failPut != nil {
@@ -38,7 +38,7 @@ func (f *fakeStore) Put(_ context.Context, name string, rules *core.Rules) (int,
 	return f.version[name], nil
 }
 
-func (f *fakeStore) GetWithVersion(name string) (*core.Rules, int, bool) {
+func (f *fakeStore) Get(name string) (*core.Rules, int, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	r, ok := f.models[name]

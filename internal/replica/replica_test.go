@@ -44,6 +44,15 @@ func testRules(t testing.TB, slope float64) *core.Rules {
 	return rules
 }
 
+// bg is the context the tests' store mutations run under.
+var bg = context.Background()
+
+// getRaw returns name's head bytes and version, ok=false when absent.
+func getRaw(s *store.Store, name string) ([]byte, int, bool) {
+	r, err := s.Revision(name, 0)
+	return r.Raw, r.Version, err == nil
+}
+
 func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
@@ -106,7 +115,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestWireRoundTrip(t *testing.T) {
 	r := testRules(t, 2)
 	leader := store.OpenMemory()
-	if _, err := leader.Put("m", r); err != nil {
+	if _, err := leader.PutContext(bg, "m", r); err != nil {
 		t.Fatal(err)
 	}
 	events, err := leader.EventsSince(0)
@@ -177,7 +186,7 @@ func TestWireCorruption(t *testing.T) {
 func TestFollowerTailsLeader(t *testing.T) {
 	leader := store.OpenMemory()
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	if _, err := leader.Put("m", r1); err != nil {
+	if _, err := leader.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
 	ts := startLeader(t, leader)
@@ -187,19 +196,19 @@ func TestFollowerTailsLeader(t *testing.T) {
 	waitFor(t, "catch-up", func() bool { return fst.Seq() == leader.Seq() })
 
 	// Live events after attach.
-	if _, err := leader.Put("m", r2); err != nil {
+	if _, err := leader.PutContext(bg, "m", r2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("other", r1); err != nil {
+	if _, err := leader.PutContext(bg, "other", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Delete("other"); err != nil {
+	if _, err := leader.DeleteContext(bg, "other"); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "live tail", func() bool { return fst.Seq() == leader.Seq() })
 
-	lr, lv, _ := leader.GetRaw("m")
-	fr, fv, ok := fst.GetRaw("m")
+	lr, lv, _ := getRaw(leader, "m")
+	fr, fv, ok := getRaw(fst, "m")
 	if !ok || lv != fv || !bytes.Equal(lr, fr) {
 		t.Fatalf("follower head v%d != leader v%d (or bytes differ)", fv, lv)
 	}
@@ -225,7 +234,7 @@ func TestFollowerTailsLeader(t *testing.T) {
 func TestFollowerSnapshotBootstrap(t *testing.T) {
 	leader := store.OpenMemory(store.WithReplicationLog(2))
 	for i := 0; i < 6; i++ {
-		if _, err := leader.Put("m", testRules(t, float64(i+2))); err != nil {
+		if _, err := leader.PutContext(bg, "m", testRules(t, float64(i+2))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,8 +246,8 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 	if got := f.Status().SnapshotBootstraps; got != 1 {
 		t.Fatalf("bootstraps = %d, want 1", got)
 	}
-	lr, lv, _ := leader.GetRaw("m")
-	fr, fv, ok := fst.GetRaw("m")
+	lr, lv, _ := getRaw(leader, "m")
+	fr, fv, ok := getRaw(fst, "m")
 	if !ok || lv != fv || !bytes.Equal(lr, fr) {
 		t.Fatalf("bootstrapped head v%d != leader v%d", fv, lv)
 	}
@@ -248,7 +257,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 		t.Fatalf("version history: leader %d, follower %d", len(li), len(fi))
 	}
 	// The stream keeps tailing after the bootstrap.
-	if _, err := leader.Put("m", testRules(t, 99)); err != nil {
+	if _, err := leader.PutContext(bg, "m", testRules(t, 99)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "post-bootstrap tail", func() bool { return fst.Seq() == leader.Seq() })
@@ -262,7 +271,7 @@ func TestFollowerSnapshotBootstrap(t *testing.T) {
 func TestFollowerBootstrapsPastPrunedRevision(t *testing.T) {
 	leader := store.OpenMemory(store.WithMaxVersions(3))
 	for i := 0; i < 5; i++ {
-		if _, err := leader.Put("m", testRules(t, float64(i+2))); err != nil {
+		if _, err := leader.PutContext(bg, "m", testRules(t, float64(i+2))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,8 +285,8 @@ func TestFollowerBootstrapsPastPrunedRevision(t *testing.T) {
 		if got := f.Status().SnapshotBootstraps; got != 1 {
 			t.Fatalf("%s: bootstraps = %d, want 1", what, got)
 		}
-		lr, lv, _ := leader.GetRaw("m")
-		fr, fv, ok := fst.GetRaw("m")
+		lr, lv, _ := getRaw(leader, "m")
+		fr, fv, ok := getRaw(fst, "m")
 		if !ok || lv != fv || !bytes.Equal(lr, fr) {
 			t.Fatalf("%s: follower head v%d != leader v%d", what, fv, lv)
 		}
@@ -293,7 +302,7 @@ func TestFollowerBootstrapsPastPrunedRevision(t *testing.T) {
 	// revisions the snapshot already carried. A fourth could prune one
 	// the stream had not yet shipped and force a second bootstrap.
 	for i := 0; i < 3; i++ {
-		if _, err := leader.Put("m", testRules(t, float64(i+20))); err != nil {
+		if _, err := leader.PutContext(bg, "m", testRules(t, float64(i+20))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,7 +341,7 @@ func TestFollowerCompactionRace(t *testing.T) {
 				return
 			default:
 			}
-			if raw, _, ok := fst.GetRaw("m"); ok {
+			if raw, _, ok := getRaw(fst, "m"); ok {
 				reads.Add(1)
 				if _, err := core.Load(bytes.NewReader(raw)); err != nil {
 					torn.Add(1)
@@ -343,7 +352,7 @@ func TestFollowerCompactionRace(t *testing.T) {
 	}()
 
 	for i := 0; i < 40; i++ {
-		if _, err := leader.Put("m", testRules(t, float64(i%7+2))); err != nil {
+		if _, err := leader.PutContext(bg, "m", testRules(t, float64(i%7+2))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,8 +369,8 @@ func TestFollowerCompactionRace(t *testing.T) {
 	if got := f.Status().SnapshotBootstraps; got < 1 {
 		t.Fatalf("bootstraps = %d, want >= 1 with a 1-event log", got)
 	}
-	lr, lv, _ := leader.GetRaw("m")
-	fr, fv, ok := fst.GetRaw("m")
+	lr, lv, _ := getRaw(leader, "m")
+	fr, fv, ok := getRaw(fst, "m")
 	if !ok || lv != fv || !bytes.Equal(lr, fr) {
 		t.Fatalf("converged head v%d != leader v%d", fv, lv)
 	}
@@ -377,10 +386,10 @@ func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("m", testRules(t, 2)); err != nil {
+	if _, err := leader.PutContext(bg, "m", testRules(t, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("m", testRules(t, 3)); err != nil {
+	if _, err := leader.PutContext(bg, "m", testRules(t, 3)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -427,7 +436,7 @@ func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 	srv2 := serve(leader2, ln2)
 	defer srv2.Close()
 
-	if _, err := leader2.Put("m", testRules(t, 4)); err != nil {
+	if _, err := leader2.PutContext(bg, "m", testRules(t, 4)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "post-restart tail", func() bool { return fst.Seq() == 3 })
@@ -441,8 +450,8 @@ func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 	if len(li) != len(fi) || len(fi) != 3 {
 		t.Fatalf("version history after restart: leader %d, follower %d, want 3 (no duplicates)", len(li), len(fi))
 	}
-	lr, _, _ := leader2.GetRaw("m")
-	fr, _, _ := fst.GetRaw("m")
+	lr, _, _ := getRaw(leader2, "m")
+	fr, _, _ := getRaw(fst, "m")
 	if !bytes.Equal(lr, fr) {
 		t.Fatal("follower bytes differ after leader restart")
 	}
@@ -454,7 +463,7 @@ func TestFollowerReconnectsAfterLeaderRestart(t *testing.T) {
 func TestFollowerDurableCheckpoint(t *testing.T) {
 	leader := store.OpenMemory()
 	for i := 0; i < 3; i++ {
-		if _, err := leader.Put("m", testRules(t, float64(i+2))); err != nil {
+		if _, err := leader.PutContext(bg, "m", testRules(t, float64(i+2))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +493,7 @@ func TestFollowerDurableCheckpoint(t *testing.T) {
 	if got := fst2.Seq(); got != 3 {
 		t.Fatalf("reopened follower seq = %d, want checkpointed 3", got)
 	}
-	if _, err := leader.Put("m", testRules(t, 9)); err != nil {
+	if _, err := leader.PutContext(bg, "m", testRules(t, 9)); err != nil {
 		t.Fatal(err)
 	}
 	f2 := startFollower(t, ts.URL, fst2)
@@ -521,7 +530,7 @@ func TestHandlerRejectsBadFrom(t *testing.T) {
 func TestFollowerSurvivesGarbageLeader(t *testing.T) {
 	var mode atomic.Int32 // 0: 503, 1: garbage frames, 2: real stream
 	leader := store.OpenMemory()
-	if _, err := leader.Put("m", testRules(t, 2)); err != nil {
+	if _, err := leader.PutContext(bg, "m", testRules(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	real := &Handler{Store: leader, Logger: quietLogger(), Heartbeat: 20 * time.Millisecond}

@@ -124,7 +124,7 @@ func TestUntracedCommitAppliesQuietly(t *testing.T) {
 		<-done
 	})
 
-	if _, err := leaderStore.Put("plain", testRules(t, 3)); err != nil {
+	if _, err := leaderStore.PutContext(bg, "plain", testRules(t, 3)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "follower sync", func() bool {

@@ -242,12 +242,10 @@ func serveBatch[J, R any](
 			return
 		}
 	}
-	if shed.Load() {
-		t := time.Now().Add(shedDrainSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
 	s.batch.size.With(op).Observe(float64(rows))
+	// results closed with ctx live only once jobs did: the feeder has
+	// returned and no longer reads the body.
+	lw.end(ctx, req.Body, nil)
 }
 
 // batchFillRow is one input row of POST batch/fill.

@@ -70,7 +70,7 @@ func (s *service) clusterRepublish(w http.ResponseWriter, req *http.Request) {
 			fmt.Errorf("merging shards for %q: %w", name, err))
 		return
 	}
-	rules, version, ok := s.reg.GetWithVersion(name)
+	rules, version, ok := s.reg.Get(name)
 	if !ok {
 		// Merge succeeded but the GE gate held the publish back; report
 		// the gate decision rather than inventing a version.

@@ -12,9 +12,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"testing"
 	"time"
@@ -488,12 +490,22 @@ func TestV1ContractBatchStreams(t *testing.T) {
 	}
 }
 
-// TestV1ContractNDJSONFraming pins the NDJSON line framing shared by
-// the batch and ingest routes: a last line without its newline is still
-// a row, CRLF line ends are accepted, and a line over the 4 MiB cap
-// ends the stream with one bad_request line in its slot.
+// TestV1ContractNDJSONFraming pins line framing on both NDJSON row
+// routes: a last line without "\n", CRLF ends, and a line over the cap
+// (one bad_request line ends the stream), that last also from a client
+// that keeps sending after the answer. Every case runs on one server
+// and one keep-alive client: a stream the server ends before its body
+// does must leave the connection reusable and the server's error log
+// empty.
 func TestV1ContractNDJSONFraming(t *testing.T) {
 	long := "[" + strings.Repeat("1,", maxBatchLineBytes/2) + "1]"
+	errLog := &lockedBuffer{}
+	ts := httptest.NewUnstartedServer(Handler(NewRegistry()))
+	ts.Config.ErrorLog = log.New(errLog, "", 0)
+	ts.Start()
+	t.Cleanup(ts.Close)
+	mineModel(t, ts, "m")
+	client := ts.Client()
 	routes := []struct {
 		path, row string
 		ingest    bool
@@ -505,20 +517,73 @@ func TestV1ContractNDJSONFraming(t *testing.T) {
 		label, body string
 		okRows      int  // leading rows answered by a success line
 		badLast     bool // then one bad_request line ends the stream
+		keepOpen    bool // the client sends another row after that line
 	}{
-		{"no final newline", "%[1]s\n%[1]s", 2, false},
-		{"CRLF", "%[1]s\r\n%[1]s\r\n\r\n%[1]s\r\n", 3, false},
-		{"line over cap", "%[1]s\n" + long + "\n%[1]s\n", 1, true},
+		{"no final newline", "%[1]s\n%[1]s", 2, false, false},
+		{"CRLF", "%[1]s\r\n%[1]s\r\n\r\n%[1]s\r\n", 3, false, false},
+		{"line over cap", "%[1]s\n" + long + "\n%[1]s\n", 1, true, false},
+		{"line over cap, body kept open", "%[1]s\n" + long + "\n%[1]s\n", 1, true, true},
 	}
+	requests := 0
 	for _, rt := range routes {
 		for _, fr := range framings {
 			t.Run(rt.path+"/"+fr.label, func(t *testing.T) {
-				// A server of its own: after a stream the server ends
-				// early, net/http may drop the keep-alive connection.
-				ts := contractServer(t)
-				resp := doRaw(t, "POST", ts.URL+rt.path, ndjsonContentType, fmt.Sprintf(fr.body, rt.row))
+				body := fmt.Sprintf(fr.body, rt.row)
+				answered := make(chan struct{})
+				var reqBody io.Reader = strings.NewReader(body)
+				if fr.keepOpen {
+					pr, pw := io.Pipe()
+					reqBody = pr
+					go func() {
+						pw.Write([]byte(body))
+						<-answered
+						pw.Write([]byte(rt.row + "\n"))
+						pw.Close()
+					}()
+				}
+				defer func() {
+					select {
+					case <-answered:
+					default:
+						close(answered)
+					}
+				}()
+				req, err := http.NewRequest("POST", ts.URL+rt.path, reqBody)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", ndjsonContentType)
+				reused := false
+				req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+					GotConn: func(ci httptrace.GotConnInfo) { reused = ci.Reused },
+				}))
+				resp, err := client.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if requests++; requests > 1 && !reused {
+					t.Errorf("request %d opened a new connection: the last stream broke keep-alive", requests)
+				}
 				if resp.StatusCode != http.StatusOK {
 					t.Fatalf("status %d, want 200", resp.StatusCode)
+				}
+				if fr.keepOpen {
+					// Read up to the bad_request line, and only then let
+					// the client send more.
+					br := bufio.NewReader(resp.Body)
+					var head []byte
+					for !strings.Contains(string(head), CodeBadRequest) {
+						line, err := br.ReadBytes('\n')
+						if err != nil {
+							t.Fatalf("stream ended before its bad_request line: %v", err)
+						}
+						head = append(head, line...)
+					}
+					close(answered)
+					resp.Body = struct {
+						io.Reader
+						io.Closer
+					}{io.MultiReader(strings.NewReader(string(head)), br), resp.Body}
 				}
 				var lines []batchLine
 				if rt.ingest {
@@ -552,5 +617,9 @@ func TestV1ContractNDJSONFraming(t *testing.T) {
 				}
 			})
 		}
+	}
+	ts.Close() // waits for every handler, so the log is complete
+	if msg := errLog.String(); msg != "" {
+		t.Fatalf("server error log:\n%s", msg)
 	}
 }

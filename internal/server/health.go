@@ -145,51 +145,22 @@ type modelHealthResponse struct {
 // the pinned (or head) version, so health pollers can skip the body
 // while the served revision is unchanged.
 func (s *service) modelHealth(w http.ResponseWriter, req *http.Request) {
-	name, key, ok := s.modelRef(w, req)
-	if !ok {
+	key, rev, ok := s.resolve(w, req)
+	if !ok || notModified(w, req, rev.Version) {
 		return
 	}
-	version, pinned, ok := queryVersion(w, req)
-	if !ok {
-		return
-	}
-	_, headVersion, exists := s.reg.GetWithVersion(key)
-	if !exists {
-		writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("model %q not found", name))
-		return
-	}
-	if pinned {
-		if _, ok := s.reg.GetVersion(key, version); !ok {
-			writeErr(w, http.StatusNotFound, CodeVersionNotFound,
-				fmt.Errorf("model %q has no retained version %d", name, version))
-			return
-		}
-	} else {
-		version = headVersion
-	}
-	etag := etagFor(version)
-	w.Header().Set("ETag", etag)
-	if etagMatch(req.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-
 	h, live := s.online.Health(key)
 	if !live {
 		h = online.ModelHealth{Status: "ok"}
 	}
 	// The response names the model as the tenant addressed it, not by
 	// its internal scoped key.
-	h.Name = name
-	h.ServingVersion = headVersion
+	h.Name = req.PathValue("name")
+	_, h.ServingVersion, _ = s.reg.Get(key)
 	if h.Alerts == nil {
 		h.Alerts = []alert.Status{}
 	}
-	resp := modelHealthResponse{ModelHealth: h, Version: version}
-	if ge, ok := s.reg.VersionGE(key, version); ok {
-		resp.VersionGE = &ge
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, modelHealthResponse{ModelHealth: h, Version: rev.Version, VersionGE: rev.GE})
 }
 
 // alertsResponse is the GET /debug/alerts body: the configured rules

@@ -89,12 +89,12 @@ func decodeIngestRow(dec *rowDecoder, raw []byte) ([]float64, error) {
 // of a new stream fixes its width; a ?decay=D on stream creation sets
 // its exponential decay, and later requests naming a different decay
 // answer 409 conflict (omit the parameter to join whatever runs).
-// shedDrainSlack replaces the rolling deadline once a stream has shed:
-// just enough for the done line to flush and the connection to wind
-// down. Without this, a rate-limited client could keep trickling rows
-// and have each 256-row extend() push the deadline 5 minutes out —
-// holding a connection (and its quota slot) open indefinitely while
-// every row is refused.
+// shedDrainSlack replaces the rolling deadline when a stream ends,
+// shed or not: just enough for the last lines to flush and the rest of
+// the body to drain (lineWriter.end). Without this, a rate-limited client
+// could keep trickling rows and have each 256-row extend() push the
+// deadline 5 minutes out — holding a connection (and its quota slot)
+// open indefinitely while every row is refused.
 const shedDrainSlack = 5 * time.Second
 
 func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
@@ -148,7 +148,6 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 
 	var done ingestDone
 	var dec rowDecoder
-	shed := false
 	for index := 0; ; index++ {
 		// Acks wait in the buffer only while the next row is already
 		// here: before a read that may block on the client, send them.
@@ -175,14 +174,12 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 			// and refuse rows one by one would just burn both sides' CPU.
 			if rowErr = gate.Take(ctx); rowErr != nil {
 				done.Errors++
-				shed = true
 				lw.emitErr(index, rowErr)
 				break
 			}
 			var releaseSlot func()
 			if releaseSlot, rowErr = s.admission.IngestSlot(ctx, tn, key); rowErr != nil {
 				done.Errors++
-				shed = true
 				lw.emitErr(index, rowErr)
 				break
 			}
@@ -203,17 +200,10 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
-	if shed {
-		// Stop rolling the generous deadline forward: give the done line
-		// a short window to flush, then let the connection die.
-		t := time.Now().Add(shedDrainSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
 	s.logger.Info("rows ingested",
 		"model", key, "rows", done.Rows, "accepted", done.Accepted,
 		"errors", done.Errors, "count", done.Count)
-	lw.emit(ingestDoneLine{Done: done})
+	lw.end(ctx, req.Body, ingestDoneLine{Done: done})
 }
 
 // ingestClustered serves POST ingest when the server fronts a sharded
@@ -293,7 +283,6 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	gate := s.admission.RowGate(tenantFrom(req), false)
 	defer gate.Close()
 	rows := 0
-	shed := false
 	var dec rowDecoder
 	for {
 		raw, rowErr, more := src.next()
@@ -314,7 +303,6 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 				// path: the error line surfaces through the ack drainer
 				// in input order, then the session closes.
 				sess.PushError(rowErr)
-				shed = true
 				break
 			}
 		}
@@ -331,11 +319,6 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	}
 	closeErr := sess.Close()
 	<-drained
-	if shed {
-		t := time.Now().Add(shedDrainSlack)
-		_ = rc.SetReadDeadline(t)
-		_ = rc.SetWriteDeadline(t)
-	}
 	if closeErr != nil {
 		s.logger.Error("cluster ingest session closed with error",
 			"model", name, "error", closeErr)
@@ -344,7 +327,7 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 	s.logger.Info("rows ingested via cluster",
 		"model", name, "rows", done.Rows, "accepted", done.Accepted,
 		"errors", done.Errors, "count", done.Count)
-	lw.emit(ingestDoneLine{Done: done})
+	lw.end(ctx, req.Body, ingestDoneLine{Done: done})
 }
 
 // streamStatus reports a model's live stream (GET .../stream): row and

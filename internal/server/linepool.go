@@ -14,15 +14,19 @@ package server
 // when the handler is about to wait — ingest before it reads with no
 // complete line buffered, the batch emitter when no result is ready,
 // the cluster ingest drainer after each chunk ack — once it reaches
-// flushBytes, and at the end of the response. A line is thus held only
-// while the server has more buffered input or ready results, so a
-// client that waits for an answer before sending more still gets it.
+// flushBytes, and at the end of the response (end, which then drains
+// the request body). A line is thus held only while the server has
+// more buffered input or ready results, so a client that waits for an
+// answer before sending more still gets it.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
+	"time"
 )
 
 // lineBuf is one pooled output buffer; enc appends to b through Write.
@@ -139,6 +143,44 @@ func (lw *lineWriter) close() {
 	}
 	lw.lb = nil
 }
+
+// end finishes the response: it gives what is left shedDrainSlack,
+// writes last (when non-nil) and every buffered line out, then reads
+// the request body to EOF. A stream can end before its body does (a
+// line over the cap, a shed row, bytes after a JSON array); left to
+// net/http, the rest of the body makes it log "invalid concurrent
+// Body.Read call" and drop the keep-alive connection. A client still
+// sending past the deadline or maxDrainBytes cannot hold the handler:
+// the drain stops, and past maxDrainBytes http.MaxBytesReader has
+// net/http close the connection after this reply, FIN first, so the
+// client still reads every line. The caller must have stopped every
+// other reader of body; a canceled ctx skips the drain, as the client
+// is gone.
+func (lw *lineWriter) end(ctx context.Context, body io.ReadCloser, last any) {
+	t := time.Now().Add(shedDrainSlack)
+	_ = lw.rc.SetReadDeadline(t)
+	_ = lw.rc.SetWriteDeadline(t)
+	if last != nil {
+		lw.emit(last)
+	}
+	if !lw.flush() || ctx.Err() != nil {
+		return
+	}
+	// MaxBytesReader reaches net/http's own writer only unwrapped.
+	w := lw.w
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	_, _ = io.Copy(io.Discard, http.MaxBytesReader(w, body, maxDrainBytes))
+}
+
+// maxDrainBytes bounds what end reads of a body after the response:
+// net/http's own tolerance for unread request bytes.
+const maxDrainBytes = 256 << 10
 
 // flushBytes is the most a lineWriter holds before it writes out, below
 // maxPooledLineBytes so a buffer of ordinary lines stays poolable.

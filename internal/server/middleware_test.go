@@ -295,7 +295,7 @@ func TestModelRegistryRace(t *testing.T) {
 				reg.Get(name)
 				reg.Names()
 				if i%10 == 0 {
-					reg.Delete(context.Background(), name)
+					reg.DeleteContext(context.Background(), name)
 				}
 			}
 		}(w)

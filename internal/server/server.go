@@ -1,11 +1,12 @@
 // Package server exposes Ratio Rules mining and reconstruction as a JSON
 // HTTP service, so non-Go clients can mine rules once and query them for
-// forecasting, what-if analysis and outlier detection. Models live in a
-// named, versioned registry backed by internal/store: purely in memory
-// by default, or journaled to a write-ahead log with snapshots when the
-// registry is built over a durable store (rrserve -data-dir). Every
-// mutation — mine, install, delete — is versioned, and durable
-// registries survive restarts with full version history.
+// forecasting, what-if analysis and outlier detection. Models live in
+// internal/store, whose methods the handlers call directly through
+// Registry, which embeds a *store.Store: purely in memory by default,
+// or journaled to a write-ahead log with snapshots over a durable store
+// (rrserve -data-dir). Every mutation — mine, install, delete, rollback
+// — is versioned, and durable stores survive restarts with full
+// version history.
 //
 // Endpoints (Go 1.22 pattern routing):
 //
@@ -89,101 +90,26 @@ import (
 	"ratiorules/internal/store"
 )
 
-// Registry is a concurrency-safe named, versioned store of mined rule
-// sets. It is a thin façade over internal/store: NewRegistry backs it
+// Registry is the versioned model store the handlers serve from: a
+// *store.Store, embedded so the handlers, the replication stream and
+// the online manager call its methods directly. NewRegistry backs it
 // with a memory-only store (full versioning, zero durability), while
-// NewRegistryWithStore journals every mutation to disk.
+// NewRegistryWithStore wraps an opened durable one, whose recovered
+// models are served at once.
 type Registry struct {
-	st *store.Store
+	*store.Store
 }
 
 // NewRegistry returns a registry backed by a memory-only store.
-func NewRegistry() *Registry {
-	return &Registry{st: store.OpenMemory()}
-}
+func NewRegistry() *Registry { return &Registry{store.OpenMemory()} }
 
-// NewRegistryWithStore returns a registry over an opened durable store;
-// models recovered at store open are immediately served.
-func NewRegistryWithStore(st *store.Store) *Registry {
-	return &Registry{st: st}
-}
+// NewRegistryWithStore returns a registry over an opened store.
+func NewRegistryWithStore(st *store.Store) *Registry { return &Registry{st} }
 
-// Put stores (or replaces) a model, returning its new version. With a
-// durable store the mutation is journaled and fsynced before Put
-// returns. ctx carries the request trace (store.put/wal.* spans).
+// Put is the store's PutContext under the registry's original name,
+// which perfbench drives.
 func (r *Registry) Put(ctx context.Context, name string, rules *core.Rules) (int, error) {
-	return r.st.PutContext(ctx, name, rules)
-}
-
-// Get fetches the head revision of a model, reporting whether it exists.
-func (r *Registry) Get(name string) (*core.Rules, bool) {
-	rules, _, ok := r.st.Get(name)
-	return rules, ok
-}
-
-// GetWithVersion fetches the head revision and its version number.
-func (r *Registry) GetWithVersion(name string) (*core.Rules, int, bool) {
-	return r.st.Get(name)
-}
-
-// GetRaw fetches the head revision's canonical Rules JSON and version.
-func (r *Registry) GetRaw(name string) ([]byte, int, bool) {
-	return r.st.GetRaw(name)
-}
-
-// GetVersion fetches a pinned retained revision of a model.
-func (r *Registry) GetVersion(name string, version int) (*core.Rules, bool) {
-	return r.st.GetVersion(name, version)
-}
-
-// GetVersionRaw fetches a pinned retained revision's canonical JSON.
-func (r *Registry) GetVersionRaw(name string, version int) ([]byte, bool) {
-	return r.st.GetVersionRaw(name, version)
-}
-
-// Delete removes a model, reporting whether it existed.
-func (r *Registry) Delete(ctx context.Context, name string) (bool, error) {
-	return r.st.DeleteContext(ctx, name)
-}
-
-// Names lists stored model names, sorted.
-func (r *Registry) Names() []string {
-	return r.st.Names()
-}
-
-// Versions lists the retained revisions of a model.
-func (r *Registry) Versions(name string) ([]store.VersionInfo, bool) {
-	return r.st.Versions(name)
-}
-
-// Rollback restores a retained version as the new head, returning the
-// restored rules and the new head version.
-func (r *Registry) Rollback(ctx context.Context, name string, version int) (*core.Rules, int, error) {
-	return r.st.RollbackContext(ctx, name, version)
-}
-
-// SetVersionGE attaches the online monitor's GE₁ measurement to a
-// retained revision (advisory, in-memory; see store.SetVersionGE).
-func (r *Registry) SetVersionGE(name string, version int, ge float64) {
-	r.st.SetVersionGE(name, version, ge)
-}
-
-// VersionGE reads a revision's GE annotation.
-func (r *Registry) VersionGE(name string, version int) (float64, bool) {
-	return r.st.VersionGE(name, version)
-}
-
-// Failed reports the store wedge state (non-nil wraps store.ErrFailed);
-// /readyz keys off it.
-func (r *Registry) Failed() error {
-	return r.st.Failed()
-}
-
-// Store exposes the backing store for replication wiring (the
-// /v1/replicate stream and rrserve's follower mode read and apply
-// committed events through it).
-func (r *Registry) Store() *store.Store {
-	return r.st
+	return r.PutContext(ctx, name, rules)
 }
 
 // DefaultMaxBodyBytes caps request bodies unless WithMaxBodyBytes says
@@ -262,7 +188,7 @@ func Handler(reg *Registry, opts ...HandlerOption) http.Handler {
 		leaderURL:      cfg.leaderURL,
 		maxReplicaLag:  maxLag,
 		replication: &replica.Handler{
-			Store:  reg.Store(),
+			Store:  reg.Store,
 			Logger: cfg.logger,
 			WriteError: func(w http.ResponseWriter, status int, err error) {
 				writeErr(w, status, CodeBadRequest, err)
@@ -496,7 +422,7 @@ func (s *service) mine(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := tenantFrom(req).ScopedName(body.Name)
-	version, err := s.reg.Put(req.Context(), key, rules)
+	version, err := s.reg.PutContext(req.Context(), key, rules)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, CodeStoreFailed,
 			fmt.Errorf("persisting model: %w", err))
@@ -517,76 +443,76 @@ func (s *service) list(w http.ResponseWriter, req *http.Request) {
 		if !visible {
 			continue
 		}
-		if m, version, ok := s.reg.GetWithVersion(key); ok {
+		if m, version, ok := s.reg.Get(key); ok {
 			out = append(out, summarize(name, version, m))
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// queryVersion parses the optional ?version=N pin. ok=false means the
-// request was already answered with a 400.
-func queryVersion(w http.ResponseWriter, req *http.Request) (version int, pinned, ok bool) {
+// queryVersion parses the optional ?version=N pin; 0 (no pin) names
+// the head. ok=false means the request was already answered with a
+// 400.
+func queryVersion(w http.ResponseWriter, req *http.Request) (version int, ok bool) {
 	raw := req.URL.Query().Get("version")
 	if raw == "" {
-		return 0, false, true
+		return 0, true
 	}
 	v, err := strconv.Atoi(raw)
 	if err != nil || v <= 0 {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("invalid version %q: want a positive integer", raw))
-		return 0, false, false
+		return 0, false
 	}
-	return v, true, true
+	return v, true
 }
 
-// lookup resolves {name} to a rule set, honoring the ?version=N pin
-// shared by every inference endpoint. Missing models answer 404
-// not_found; unretained pins answer 404 version_not_found. The store
-// key is the tenant-scoped name, so another tenant's models are
-// indistinguishable from absent.
-func (s *service) lookup(w http.ResponseWriter, req *http.Request) (*core.Rules, bool) {
+// resolve maps {name} and the ?version=N pin shared by the model GET,
+// the health route and every inference endpoint to a retained revision:
+// the head unless pinned. Missing models answer 404 not_found;
+// unretained pins answer 404 version_not_found. The store key is the
+// tenant-scoped name, so another tenant's models are indistinguishable
+// from absent. ok=false means the request was already answered.
+func (s *service) resolve(w http.ResponseWriter, req *http.Request) (key string, rev store.Revision, ok bool) {
 	name, key, ok := s.modelRef(w, req)
 	if !ok {
-		return nil, false
+		return key, rev, false
 	}
-	version, pinned, ok := queryVersion(w, req)
+	version, ok := queryVersion(w, req)
 	if !ok {
-		return nil, false
+		return key, rev, false
 	}
-	_, sp := trace.Start(req.Context(), "store.get")
-	sp.SetAttr("model", key)
-	defer sp.End()
-	if pinned {
-		if _, exists := s.reg.Get(key); !exists {
-			writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("model %q not found", name))
-			return nil, false
-		}
-		rules, ok := s.reg.GetVersion(key, version)
-		if !ok {
-			writeErr(w, http.StatusNotFound, CodeVersionNotFound,
-				fmt.Errorf("model %q has no retained version %d", name, version))
-			return nil, false
-		}
-		return rules, true
-	}
-	rules, ok := s.reg.Get(key)
-	if !ok {
+	rev, err := s.reg.Revision(key, version)
+	switch {
+	case errors.Is(err, store.ErrVersionNotFound):
+		writeErr(w, http.StatusNotFound, CodeVersionNotFound,
+			fmt.Errorf("model %q has no retained version %d", name, version))
+	case err != nil:
 		writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("model %q not found", name))
-		return nil, false
 	}
-	return rules, true
+	return key, rev, err == nil
 }
 
-// etagFor renders the strong ETag of a model version.
-func etagFor(version int) string { return fmt.Sprintf("%q", fmt.Sprintf("v%d", version)) }
+// lookup resolves the rule set an inference endpoint runs on, under a
+// "store.get" span.
+func (s *service) lookup(w http.ResponseWriter, req *http.Request) (*core.Rules, bool) {
+	_, sp := trace.Start(req.Context(), "store.get")
+	defer sp.End()
+	key, rev, ok := s.resolve(w, req)
+	sp.SetAttr("model", key)
+	return rev.Rules, ok
+}
 
-// etagMatch reports whether an If-None-Match header matches etag,
-// honoring the `*` wildcard and weak-validator prefixes.
-func etagMatch(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
+// notModified sets the strong ETag of a served version ("v<N>") and,
+// when If-None-Match matches it (the `*` wildcard and weak-validator
+// prefixes included), answers 304 and reports true.
+func notModified(w http.ResponseWriter, req *http.Request, version int) bool {
+	etag := fmt.Sprintf(`"v%d"`, version)
+	w.Header().Set("ETag", etag)
+	for _, part := range strings.Split(req.Header.Get("If-None-Match"), ",") {
 		part = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(part), "W/"))
 		if part != "" && (part == "*" || part == etag) {
+			w.WriteHeader(http.StatusNotModified)
 			return true
 		}
 	}
@@ -596,45 +522,15 @@ func etagMatch(header, etag string) bool {
 // get serves a revision's canonical Rules JSON — the head by default,
 // or a retained revision pinned with ?version=N. The body is the
 // pre-encoded canonical bytes held by the store, so encoding can never
-// fail after headers are written (the old streaming Save risked a
-// second WriteHeader on mid-body errors). The ETag is the served
-// version; If-None-Match answers 304 so pollers skip the download.
+// fail after headers are written. The ETag is the served version;
+// If-None-Match answers 304 so pollers skip the download.
 func (s *service) get(w http.ResponseWriter, req *http.Request) {
-	name, key, ok := s.modelRef(w, req)
-	if !ok {
-		return
-	}
-	version, pinned, ok := queryVersion(w, req)
-	if !ok {
-		return
-	}
-	var raw []byte
-	if pinned {
-		if _, _, exists := s.reg.GetRaw(key); !exists {
-			writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("model %q not found", name))
-			return
-		}
-		raw, ok = s.reg.GetVersionRaw(key, version)
-		if !ok {
-			writeErr(w, http.StatusNotFound, CodeVersionNotFound,
-				fmt.Errorf("model %q has no retained version %d", name, version))
-			return
-		}
-	} else {
-		raw, version, ok = s.reg.GetRaw(key)
-		if !ok {
-			writeErr(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("model %q not found", name))
-			return
-		}
-	}
-	etag := etagFor(version)
-	w.Header().Set("ETag", etag)
-	if etagMatch(req.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	_, rev, ok := s.resolve(w, req)
+	if !ok || notModified(w, req, rev.Version) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(raw)
+	_, _ = w.Write(rev.Raw)
 }
 
 // put installs a model from Rules JSON (as produced by GET or rrmine
@@ -653,7 +549,7 @@ func (s *service) put(w http.ResponseWriter, req *http.Request) {
 		bodyErr(w, err)
 		return
 	}
-	version, err := s.reg.Put(req.Context(), key, rules)
+	version, err := s.reg.PutContext(req.Context(), key, rules)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, CodeStoreFailed,
 			fmt.Errorf("persisting model: %w", err))
@@ -669,7 +565,7 @@ func (s *service) del(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	ok, err := s.reg.Delete(req.Context(), key)
+	ok, err := s.reg.DeleteContext(req.Context(), key)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, CodeStoreFailed,
 			fmt.Errorf("deleting model: %w", err))
@@ -736,7 +632,7 @@ func (s *service) rollback(w http.ResponseWriter, req *http.Request) {
 	// The store returns the restored rules from under its lock, so the
 	// summary always matches newVersion even when a concurrent Put lands
 	// a newer head before we respond.
-	rules, newVersion, err := s.reg.Rollback(req.Context(), key, body.Version)
+	rules, newVersion, err := s.reg.RollbackContext(req.Context(), key, body.Version)
 	if err != nil {
 		// Rollback failures that are neither missing-model nor
 		// missing-version are journal write failures.

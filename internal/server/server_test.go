@@ -268,7 +268,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				}
 				reg.Get(name)
 				reg.Names()
-				if _, err := reg.Delete(context.Background(), name); err != nil {
+				if _, err := reg.DeleteContext(context.Background(), name); err != nil {
 					t.Errorf("delete: %v", err)
 					return
 				}

@@ -10,14 +10,14 @@ func TestVersionGEAnnotations(t *testing.T) {
 	s := OpenMemory(WithMaxVersions(2))
 	defer s.Close()
 
-	if _, ok := s.VersionGE("m", 1); ok {
+	if _, ok := versionGE(s, "m", 1); ok {
 		t.Fatal("annotation on missing model")
 	}
 	s.SetVersionGE("m", 1, 0.5) // no such model: ignored, no panic
 
 	rules := testRules(t, 2)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Put("m", rules); err != nil {
+		if _, err := s.PutContext(bg, "m", rules); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -25,13 +25,13 @@ func TestVersionGEAnnotations(t *testing.T) {
 	s.SetVersionGE("m", 2, 0.25)
 	s.SetVersionGE("m", 1, 0.75) // pruned: ignored
 
-	if ge, ok := s.VersionGE("m", 2); !ok || ge != 0.25 {
+	if ge, ok := versionGE(s, "m", 2); !ok || ge != 0.25 {
 		t.Fatalf("VersionGE(2) = %v/%v, want 0.25/true", ge, ok)
 	}
-	if _, ok := s.VersionGE("m", 3); ok {
+	if _, ok := versionGE(s, "m", 3); ok {
 		t.Fatal("unannotated version reported an annotation")
 	}
-	if _, ok := s.VersionGE("m", 1); ok {
+	if _, ok := versionGE(s, "m", 1); ok {
 		t.Fatal("pruned version reported an annotation")
 	}
 
@@ -48,7 +48,7 @@ func TestVersionGEAnnotations(t *testing.T) {
 
 	// Overwrite sticks.
 	s.SetVersionGE("m", 2, 0.125)
-	if ge, _ := s.VersionGE("m", 2); ge != 0.125 {
+	if ge, _ := versionGE(s, "m", 2); ge != 0.125 {
 		t.Fatalf("overwritten GE = %v, want 0.125", ge)
 	}
 }

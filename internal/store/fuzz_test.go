@@ -3,14 +3,18 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
+
+	"ratiorules/internal/obs"
 )
 
 // fuzzSeedRecords builds a small valid WAL for seeding the fuzzer.
 func fuzzSeedRecords(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for i, ev := range []walEvent{
+	for i, ev := range []Event{
 		{Seq: 1, Op: opPut, Name: "m", Version: 1, Rules: json.RawMessage(`{"means":[0],"eigenvalues":[1],"total_variance":1,"trained_rows":2,"vectors":[[1]]}`)},
 		{Seq: 2, Op: opDelete, Name: "m"},
 	} {
@@ -90,4 +94,69 @@ func TestDecodeRecordsUnit(t *testing.T) {
 	if len(ev) != 1 || v != first {
 		t.Errorf("torn second record: %d events, offset %d, want 1 event at %d", len(ev), v, first)
 	}
+}
+
+// FuzzRestoreSnapshot throws arbitrary bytes, decoded as a SnapshotDoc
+// the way a follower decodes an RRS1 frame, at RestoreSnapshot on a
+// store holding known models. It must never panic; a doc it rejects
+// must leave Seq, Names and every head's bytes as they were; a doc it
+// accepts must list each model's revisions strictly ascending, head
+// last, with the version counter past the head.
+func FuzzRestoreSnapshot(f *testing.F) {
+	rules := func(mean int) string {
+		return fmt.Sprintf(`{"means":[%d],"eigenvalues":[1],"total_variance":1,"trained_rows":2,"vectors":[[1]]}`, mean)
+	}
+	seed := func(doc string) { f.Add([]byte(doc)) }
+	seed(fmt.Sprintf(`{"seq":7,"models":{"m":[{"version":1,"rules":%s},{"version":2,"rules":%s}]},"last_version":{"m":2,"gone":4}}`, rules(1), rules(2)))
+	seed(`{"seq":3,"models":{"m":[{"version":1,"rules":{"means":[0],"eigen`)
+	seed(`{"seq":3,"models":{"m":[{"version":1,"rules":{"means":[0],"vectors":"torn"}}]}}`)
+	seed(fmt.Sprintf(`{"seq":5,"models":{"m":[{"version":3,"rules":%s},{"version":1,"rules":%s}]}}`, rules(3), rules(1)))
+	seed(fmt.Sprintf(`{"seq":5,"models":{"m":[{"version":2,"rules":%s},{"version":2,"rules":%s}]}}`, rules(2), rules(3)))
+	seed(fmt.Sprintf(`{"seq":5,"models":{"m":[{"version":4,"rules":%s}]},"last_version":{"m":1}}`, rules(4)))
+	seed(`{"seq":1,"models":{"m":[]}}`)
+	seed(`null`)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var doc SnapshotDoc
+		if json.Unmarshal(data, &doc) != nil {
+			return
+		}
+		st := OpenMemory(WithObs(obs.NewRegistry()))
+		for i, name := range []string{"a", "b", "a"} {
+			if _, err := st.PutContext(bg, name, testRules(t, float64(i+2))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq, names := st.Seq(), st.Names()
+		heads := map[string][]byte{}
+		for _, name := range names {
+			heads[name], _, _ = getRaw(st, name)
+		}
+		if err := st.RestoreSnapshot(&doc); err != nil {
+			if st.Seq() != seq || !reflect.DeepEqual(st.Names(), names) {
+				t.Fatalf("failed restore moved the store: seq %d→%d, names %v→%v", seq, st.Seq(), names, st.Names())
+			}
+			for name, raw := range heads {
+				if got, _, _ := getRaw(st, name); !bytes.Equal(got, raw) {
+					t.Fatalf("failed restore changed %q's head", name)
+				}
+			}
+			return
+		}
+		if st.Seq() != doc.Seq {
+			t.Fatalf("restored seq %d, doc seq %d", st.Seq(), doc.Seq)
+		}
+		for _, name := range st.Names() {
+			infos, _ := st.Versions(name)
+			for i, in := range infos {
+				if (i > 0 && in.Version <= infos[i-1].Version) || in.Head != (i == len(infos)-1) {
+					t.Fatalf("%q restored as %+v", name, infos)
+				}
+			}
+			v, err := st.PutContext(bg, name, testRules(t, 9))
+			if err != nil || v <= infos[len(infos)-1].Version {
+				t.Fatalf("put on %q after restore: v%d, %v; head was v%d", name, v, err, infos[len(infos)-1].Version)
+			}
+		}
+	})
 }

@@ -37,11 +37,11 @@ func TestCrashRecoveryEveryTruncationOffset(t *testing.T) {
 	defer st.Close()
 
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	if _, err := st.Put("m", r1); err != nil {
+	if _, err := st.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
 	off1 := walSize(t, dir)
-	if _, err := st.Put("m", r2); err != nil {
+	if _, err := st.PutContext(bg, "m", r2); err != nil {
 		t.Fatal(err)
 	}
 	off2 := walSize(t, dir)
@@ -72,7 +72,7 @@ func TestCrashRecoveryEveryTruncationOffset(t *testing.T) {
 	// Cuts inside the second record: recover to exactly v1.
 	for cut := off1; cut < off2; cut++ {
 		st2, d := reopen(t, walData[:cut])
-		raw, version, ok := st2.GetRaw("m")
+		raw, version, ok := getRaw(st2, "m")
 		if !ok || version != 1 || !bytes.Equal(raw, want1) {
 			t.Fatalf("cut %d: recovered v%d ok=%v byte-equal=%v; want clean v1",
 				cut, version, ok, bytes.Equal(raw, want1))
@@ -95,11 +95,11 @@ func TestCrashRecoveryEveryTruncationOffset(t *testing.T) {
 
 	// The untouched WAL recovers both versions with history intact.
 	st2, _ := reopen(t, walData)
-	raw, version, ok := st2.GetRaw("m")
+	raw, version, ok := getRaw(st2, "m")
 	if !ok || version != 2 || !bytes.Equal(raw, want2) {
 		t.Fatalf("full WAL: recovered v%d, byte-equal=%v", version, bytes.Equal(raw, want2))
 	}
-	if old, ok := st2.GetVersion("m", 1); !ok || !bytes.Equal(rawOf(t, old), want1) {
+	if old, ok := getVersion(st2, "m", 1); !ok || !bytes.Equal(rawOf(t, old), want1) {
 		t.Fatal("full WAL: v1 history lost")
 	}
 
@@ -134,8 +134,8 @@ func TestRecoverySkipsSnapshottedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put("m", testRules(t, 2))
-	st.Put("m", testRules(t, 3))
+	st.PutContext(bg, "m", testRules(t, 2))
+	st.PutContext(bg, "m", testRules(t, 3))
 	walData, err := os.ReadFile(filepath.Join(dir, walFileName))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestRecoverySkipsSnapshottedEvents(t *testing.T) {
 		t.Fatalf("head = v%d, want v2", version)
 	}
 	// The next put must continue the sequence, not collide with it.
-	if v, err := st2.Put("m", testRules(t, 4)); err != nil || v != 3 {
+	if v, err := st2.PutContext(bg, "m", testRules(t, 4)); err != nil || v != 3 {
 		t.Fatalf("put after stale-WAL recovery = v%d, %v", v, err)
 	}
 }
@@ -208,8 +208,8 @@ func TestOpenBadRules(t *testing.T) {
 	bad := json.RawMessage(`{"means":[0,0,0],"eigenvalues":[1],"total_variance":1,"trained_rows":10,"vectors":[[0.5],[0.5],[0.5]]}`)
 
 	snapDir := t.TempDir()
-	snap, err := json.Marshal(snapshotFile{Format: snapshotFormat, Seq: 1,
-		Models: map[string][]snapRev{"m": {{Version: 3, Rules: bad}}}})
+	snap, err := json.Marshal(snapshotFile{Format: snapshotFormat, SnapshotDoc: SnapshotDoc{Seq: 1,
+		Models: map[string][]SnapshotRev{"m": {{Version: 3, Rules: bad}}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestOpenBadRules(t *testing.T) {
 	}
 
 	walDir := t.TempDir()
-	payload, err := json.Marshal(walEvent{Seq: 1, Op: opPut, Name: "m", Version: 1, Rules: bad})
+	payload, err := json.Marshal(Event{Seq: 1, Op: opPut, Name: "m", Version: 1, Rules: bad})
 	if err != nil {
 		t.Fatal(err)
 	}

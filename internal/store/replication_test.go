@@ -13,11 +13,11 @@ func TestEventsSinceTailing(t *testing.T) {
 	st := OpenMemory()
 	r := testRules(t, 2)
 	for i := 0; i < 5; i++ {
-		if _, err := st.Put("m", r); err != nil {
+		if _, err := st.PutContext(bg, "m", r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Delete("m"); err != nil {
+	if _, err := st.DeleteContext(bg, "m"); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Seq(); got != 6 {
@@ -62,7 +62,7 @@ func TestEventsSinceBounds(t *testing.T) {
 	st := OpenMemory(WithReplicationLog(3))
 	r := testRules(t, 2)
 	for i := 0; i < 6; i++ {
-		if _, err := st.Put("m", r); err != nil {
+		if _, err := st.PutContext(bg, "m", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestReplogTrimsWithPrunedRevisions(t *testing.T) {
 	// seq 1, 2: m v1, v2; seq 3: n v1; seq 4, 5, 6: m v3, v4, v5. The
 	// last three prune m v1 (seq 1), v2 (seq 2) and v3 (seq 4).
 	for _, name := range []string{"m", "m", "n", "m", "m", "m"} {
-		if _, err := st.Put(name, r); err != nil {
+		if _, err := st.PutContext(bg, name, r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func TestReplogTrimsWithPrunedRevisions(t *testing.T) {
 	}
 
 	// A delete drops n's history but leaves the log as it was.
-	if _, err := st.Delete("n"); err != nil {
+	if _, err := st.DeleteContext(bg, "n"); err != nil {
 		t.Fatal(err)
 	}
 	events, err = st.EventsSince(4)
@@ -122,7 +122,7 @@ func TestReplogTrimsWithPrunedRevisions(t *testing.T) {
 	// revisions.
 	st = OpenMemory(WithMaxVersions(4))
 	for i := 0; i < 100; i++ {
-		if _, err := st.Put("m", r); err != nil {
+		if _, err := st.PutContext(bg, "m", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestEventsSinceAfterReopen(t *testing.T) {
 	}
 	r := testRules(t, 2)
 	for i := 0; i < 3; i++ {
-		if _, err := st.Put("m", r); err != nil {
+		if _, err := st.PutContext(bg, "m", r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestEventsSinceAfterReopen(t *testing.T) {
 		t.Fatalf("EventsSince(head) after reopen = %v, %v", events, err)
 	}
 	// New commits tail normally again.
-	if _, err := st2.Put("m", r); err != nil {
+	if _, err := st2.PutContext(bg, "m", r); err != nil {
 		t.Fatal(err)
 	}
 	if events, err := st2.EventsSince(3); err != nil || len(events) != 1 || events[0].Seq != 4 {
@@ -189,7 +189,7 @@ func TestChangedWakesTailers(t *testing.T) {
 		t.Fatal("Changed closed before any commit")
 	default:
 	}
-	if _, err := st.Put("m", testRules(t, 2)); err != nil {
+	if _, err := st.PutContext(bg, "m", testRules(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -214,16 +214,16 @@ func TestApplyEventReplication(t *testing.T) {
 	leader := OpenMemory()
 	follower := OpenMemory()
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	if _, err := leader.Put("m", r1); err != nil {
+	if _, err := leader.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("m", r2); err != nil {
+	if _, err := leader.PutContext(bg, "m", r2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("other", r1); err != nil {
+	if _, err := leader.PutContext(bg, "other", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Delete("other"); err != nil {
+	if _, err := leader.DeleteContext(bg, "other"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,8 +250,8 @@ func TestApplyEventReplication(t *testing.T) {
 	if follower.Seq() != leader.Seq() {
 		t.Fatalf("follower seq %d, leader %d", follower.Seq(), leader.Seq())
 	}
-	lr, lv, _ := leader.GetRaw("m")
-	fr, fv, ok := follower.GetRaw("m")
+	lr, lv, _ := getRaw(leader, "m")
+	fr, fv, ok := getRaw(follower, "m")
 	if !ok || lv != fv || !bytes.Equal(lr, fr) {
 		t.Fatalf("follower head (v%d, %d bytes) != leader (v%d, %d bytes)", fv, len(fr), lv, len(lr))
 	}
@@ -269,10 +269,10 @@ func TestApplyEventReplication(t *testing.T) {
 	}
 
 	// A gap (skipping a seq) must be rejected with ErrSnapshotNeeded.
-	if _, err := leader.Put("m", r1); err != nil {
+	if _, err := leader.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("m", r2); err != nil {
+	if _, err := leader.PutContext(bg, "m", r2); err != nil {
 		t.Fatal(err)
 	}
 	tail, err := leader.EventsSince(leader.Seq() - 1)
@@ -299,10 +299,10 @@ func TestApplyEventReplication(t *testing.T) {
 func TestApplyEventDurable(t *testing.T) {
 	leader := OpenMemory()
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	if _, err := leader.Put("m", r1); err != nil {
+	if _, err := leader.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("m", r2); err != nil {
+	if _, err := leader.PutContext(bg, "m", r2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -332,8 +332,8 @@ func TestApplyEventDurable(t *testing.T) {
 	if reopened.Seq() != leader.Seq() {
 		t.Fatalf("reopened follower seq %d, leader %d", reopened.Seq(), leader.Seq())
 	}
-	lr, lv, _ := leader.GetRaw("m")
-	fr, fv, ok := reopened.GetRaw("m")
+	lr, lv, _ := getRaw(leader, "m")
+	fr, fv, ok := getRaw(reopened, "m")
 	if !ok || fv != lv || !bytes.Equal(lr, fr) {
 		t.Fatal("reopened follower state diverged from leader")
 	}
@@ -351,16 +351,16 @@ func TestApplyEventDurable(t *testing.T) {
 func TestRestoreSnapshot(t *testing.T) {
 	leader := OpenMemory()
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	if _, err := leader.Put("m", r1); err != nil {
+	if _, err := leader.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("m", r2); err != nil {
+	if _, err := leader.PutContext(bg, "m", r2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Put("gone", r1); err != nil {
+	if _, err := leader.PutContext(bg, "gone", r1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.Delete("gone"); err != nil {
+	if _, err := leader.DeleteContext(bg, "gone"); err != nil {
 		t.Fatal(err)
 	}
 	doc := leader.SnapshotDoc()
@@ -374,7 +374,7 @@ func TestRestoreSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pre-existing local state (a stale bootstrap) is fully replaced.
-	if _, err := follower.Put("stale", r1); err != nil {
+	if _, err := follower.PutContext(bg, "stale", r1); err != nil {
 		t.Fatal(err)
 	}
 	if err := follower.RestoreSnapshot(doc); err != nil {
@@ -386,8 +386,8 @@ func TestRestoreSnapshot(t *testing.T) {
 	if _, _, ok := follower.Get("stale"); ok {
 		t.Fatal("stale pre-bootstrap model survived the restore")
 	}
-	lr, lv, _ := leader.GetRaw("m")
-	fr, fv, ok := follower.GetRaw("m")
+	lr, lv, _ := getRaw(leader, "m")
+	fr, fv, ok := getRaw(follower, "m")
 	if !ok || fv != lv || !bytes.Equal(lr, fr) {
 		t.Fatal("restored state is not byte-identical to the leader")
 	}
@@ -417,12 +417,38 @@ func TestRestoreSnapshot(t *testing.T) {
 	// A corrupt doc must not touch any state.
 	bad := leader.SnapshotDoc()
 	bad.Models["m"][0].Rules = []byte("{torn")
-	before, _, _ := reopened.GetRaw("m")
+	before, _, _ := getRaw(reopened, "m")
 	if err := reopened.RestoreSnapshot(bad); err == nil {
 		t.Fatal("corrupt snapshot doc accepted")
 	}
-	after, _, ok := reopened.GetRaw("m")
+	after, _, ok := getRaw(reopened, "m")
 	if !ok || !bytes.Equal(before, after) {
 		t.Fatal("failed restore mutated state")
+	}
+}
+
+// TestRestoreSnapshotOutOfOrder: a doc may list a model's revisions in
+// any order; the restored head is still the newest version, exactly as
+// Open treats the same document on disk.
+func TestRestoreSnapshotOutOfOrder(t *testing.T) {
+	r1, r2 := testRules(t, 2), testRules(t, 3)
+	doc := &SnapshotDoc{
+		Seq: 2,
+		Models: map[string][]SnapshotRev{
+			"m": {{Version: 2, Rules: rawOf(t, r2)}, {Version: 1, Rules: rawOf(t, r1)}},
+		},
+		LastVersion: map[string]int{"m": 2},
+	}
+	st := OpenMemory()
+	if err := st.RestoreSnapshot(doc); err != nil {
+		t.Fatal(err)
+	}
+	raw, v, ok := getRaw(st, "m")
+	if !ok || v != 2 || !bytes.Equal(raw, rawOf(t, r2)) {
+		t.Fatalf("restored head = v%d (ok=%v), want v2", v, ok)
+	}
+	infos, _ := st.Versions("m")
+	if len(infos) != 2 || infos[0].Version != 1 || !infos[1].Head || infos[1].Version != 2 {
+		t.Fatalf("restored versions = %+v, want v1 then head v2", infos)
 	}
 }

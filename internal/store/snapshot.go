@@ -1,11 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"sort"
+
+	"ratiorules/internal/core"
 )
 
 // snapshotFormat versions the snapshot schema for forward compatibility.
@@ -17,31 +22,85 @@ const (
 	lockFileName     = "lock"
 )
 
-// snapRev is one retained revision of a model inside a snapshot.
-type snapRev struct {
+// SnapshotRev is one retained revision inside a SnapshotDoc.
+type SnapshotRev struct {
 	Version int             `json:"version"`
 	Rules   json.RawMessage `json:"rules"`
 }
 
-// snapshotFile is the on-disk snapshot: the full store state as of Seq.
-// WAL events with seq <= Seq are already folded in and are skipped on
-// replay. LastVersion outlives deletes so a re-created model continues
-// its version counter and ETags never repeat.
+// SnapshotDoc is the full store state as of Seq: the payload a leader
+// ships to bootstrap a follower and, wrapped in snapshotFile, the
+// on-disk snapshot. WAL events with seq <= Seq are already folded in
+// and are skipped on replay. LastVersion outlives deletes so a
+// re-created model continues its version counter and ETags never
+// repeat. GE annotations are advisory and in-memory only; they are not
+// part of it.
+type SnapshotDoc struct {
+	Seq         uint64                   `json:"seq"`
+	Models      map[string][]SnapshotRev `json:"models"`
+	LastVersion map[string]int           `json:"last_version,omitempty"`
+}
+
+// snapshotFile is snapshot.json: a SnapshotDoc with its schema version
+// in front.
 type snapshotFile struct {
-	Format      int                  `json:"format"`
-	Seq         uint64               `json:"seq"`
-	Models      map[string][]snapRev `json:"models"`
-	LastVersion map[string]int       `json:"last_version,omitempty"`
+	Format int `json:"format"`
+	SnapshotDoc
+}
+
+// state is the model state a SnapshotDoc describes; Store embeds it.
+type state struct {
+	seq         uint64                // last committed sequence number
+	models      map[string][]Revision // retained revisions, ascending by version
+	lastVersion map[string]int        // survives Delete; never decreases
+}
+
+// loadDoc is the loader behind both Open and RestoreSnapshot. It
+// decodes every revision of doc, sorts each model's revisions by
+// version and raises each name's version counter to its newest
+// revision, and returns the resulting state without touching any
+// store: a torn or corrupt doc fails closed. A model with no
+// revisions, an empty name, or a version that is not positive or
+// appears twice is corrupt.
+func loadDoc(doc *SnapshotDoc) (state, error) {
+	st := state{
+		seq:         doc.Seq,
+		models:      make(map[string][]Revision, len(doc.Models)),
+		lastVersion: make(map[string]int, len(doc.LastVersion)),
+	}
+	maps.Copy(st.lastVersion, doc.LastVersion)
+	for name, srs := range doc.Models {
+		if name == "" || len(srs) == 0 {
+			return state{}, fmt.Errorf("store: snapshot model %q: empty name or no revisions", name)
+		}
+		revs := make([]Revision, len(srs))
+		for i, sr := range srs {
+			rules, err := core.Load(bytes.NewReader(sr.Rules))
+			if err != nil {
+				return state{}, fmt.Errorf("store: snapshot model %q v%d: %w", name, sr.Version, err)
+			}
+			revs[i] = Revision{Version: sr.Version, Rules: rules, Raw: sr.Rules}
+		}
+		sort.Slice(revs, func(i, j int) bool { return revs[i].Version < revs[j].Version })
+		for i, r := range revs {
+			if r.Version <= 0 || (i > 0 && r.Version == revs[i-1].Version) {
+				return state{}, fmt.Errorf("store: snapshot model %q: bad or repeated version %d", name, r.Version)
+			}
+		}
+		st.models[name] = revs
+		st.lastVersion[name] = max(st.lastVersion[name], revs[len(revs)-1].Version)
+	}
+	return st, nil
 }
 
 // loadSnapshot reads the snapshot if present; a missing file yields an
 // empty state. A corrupt snapshot is a hard error: snapshot writes are
 // atomic (temp + rename), so damage here means real disk trouble and
 // silently starting empty would discard committed data.
-func loadSnapshot(path string) (*snapshotFile, error) {
+func loadSnapshot(path string) (*SnapshotDoc, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return &snapshotFile{Format: snapshotFormat}, nil
+		return &SnapshotDoc{}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
@@ -53,14 +112,14 @@ func loadSnapshot(path string) (*snapshotFile, error) {
 	if snap.Format != snapshotFormat {
 		return nil, fmt.Errorf("store: snapshot format %d, want %d", snap.Format, snapshotFormat)
 	}
-	return &snap, nil
+	return &snap.SnapshotDoc, nil
 }
 
 // writeSnapshot atomically replaces the snapshot: write to a temp file
 // in the same directory, fsync it, rename over the target, then fsync
 // the directory so the rename itself is durable.
-func writeSnapshot(dir string, snap *snapshotFile) error {
-	data, err := json.Marshal(snap)
+func writeSnapshot(dir string, doc *SnapshotDoc) error {
+	data, err := json.Marshal(snapshotFile{Format: snapshotFormat, SnapshotDoc: *doc})
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %w", err)
 	}

@@ -10,10 +10,10 @@
 //	snapshot.json  atomic full-state snapshot (write-temp + rename);
 //	               writing one compacts the WAL to zero
 //
-// Every Put of a model creates version n+1; Get serves the latest
-// revision, GetVersion a pinned one, and Rollback re-installs a prior
-// revision as a new head version (journaled as a plain put, so the
-// history is linear and replay stays trivial). Version counters survive
+// Every put of a model creates version n+1; Revision serves the head
+// (version 0) or a pinned retained revision, and a rollback re-installs
+// a prior revision as a new head version (journaled as a plain put, so
+// the history is linear and replay stays trivial). Version counters survive
 // Delete, so a re-created model never reuses a version number — which
 // keeps HTTP ETags derived from versions truthful.
 //
@@ -109,30 +109,26 @@ func WithObs(r *obs.Registry) Option { return func(o *options) { o.metrics = r }
 // WithLogger routes recovery warnings and snapshot logs to l.
 func WithLogger(l *slog.Logger) Option { return func(o *options) { o.logger = l } }
 
-// rev is one retained revision of a model. raw is the canonical
-// core.Rules JSON (exactly what Rules.Save wrote), kept so GETs serve
-// byte-identical documents and rollbacks re-journal without re-encoding.
-type rev struct {
-	version int
-	rules   *core.Rules
-	raw     []byte
+// Revision is one retained revision of a model.
+type Revision struct {
+	Version int
+	Rules   *core.Rules
+	// Raw is the canonical core.Rules JSON (exactly what Rules.Save
+	// wrote, compacted), kept so GETs serve byte-identical documents and
+	// rollbacks re-journal without re-encoding. It is the store's own
+	// copy: callers must not modify it.
+	Raw []byte
+	// GE is an advisory quality annotation (GE₁ measured by the online
+	// monitor, see SetVersionGE), nil when none was recorded. It is
+	// in-memory only: it describes a measurement against a transient
+	// holdout, not durable model state, so it is never journaled and
+	// vanishes on restart like the holdout itself.
+	GE *float64
 	// seq is the sequence number of the event that installed this
 	// revision (0 when it was loaded from a snapshot, whose events the
 	// replication log never holds). Pruning the revision trims the log
 	// through it; see install.
 	seq uint64
-	// ge is an advisory quality annotation (GE₁ measured by the online
-	// monitor), in-memory only: it describes a measurement against a
-	// transient holdout, not durable model state, so it is never
-	// journaled and vanishes on restart like the holdout itself.
-	ge    float64
-	hasGE bool
-}
-
-// model is the retained revision history of one name, ascending by
-// version; the last entry is the head.
-type model struct {
-	revs []rev
 }
 
 // VersionInfo describes one retained revision for the versions API.
@@ -156,15 +152,13 @@ type Store struct {
 	opts options
 	met  *storeMetrics
 
-	mu          sync.RWMutex
-	wal         *walWriter // nil in memory mode
-	lock        *os.File   // flock guarding dir against other processes
-	seq         uint64     // last committed sequence number
-	models      map[string]*model
-	lastVersion map[string]int // survives Delete; never decreases
-	sinceSnap   int            // events since the last snapshot
-	closed      bool
-	failed      error // non-nil wedges mutations (wraps ErrFailed)
+	mu sync.RWMutex
+	state
+	wal       *walWriter // nil in memory mode
+	lock      *os.File   // flock guarding dir against other processes
+	sinceSnap int        // events since the last snapshot
+	closed    bool
+	failed    error // non-nil wedges mutations (wraps ErrFailed)
 
 	// Replication: recent committed events retained for follower
 	// catch-up (see replication.go). replog covers (replogBase, seq];
@@ -181,12 +175,11 @@ func newStore(dir string, opts []Option) *Store {
 		opt(&o)
 	}
 	return &Store{
-		dir:         dir,
-		opts:        o,
-		met:         newStoreMetrics(o.metrics),
-		models:      make(map[string]*model),
-		lastVersion: make(map[string]int),
-		changed:     make(chan struct{}),
+		dir:     dir,
+		opts:    o,
+		met:     newStoreMetrics(o.metrics),
+		state:   state{models: make(map[string][]Revision), lastVersion: make(map[string]int)},
+		changed: make(chan struct{}),
 	}
 }
 
@@ -225,21 +218,8 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.seq = snap.Seq
-	for name, revs := range snap.Models {
-		m := &model{}
-		for _, sr := range revs {
-			rules, err := core.Load(bytes.NewReader(sr.Rules))
-			if err != nil {
-				return nil, fmt.Errorf("store: snapshot model %q v%d: %w", name, sr.Version, err)
-			}
-			m.revs = append(m.revs, rev{version: sr.Version, rules: rules, raw: sr.Rules})
-		}
-		sort.Slice(m.revs, func(i, j int) bool { return m.revs[i].version < m.revs[j].version })
-		s.models[name] = m
-	}
-	for name, v := range snap.LastVersion {
-		s.lastVersion[name] = v
+	if s.state, err = loadDoc(snap); err != nil {
+		return nil, err
 	}
 
 	walPath := filepath.Join(dir, walFileName)
@@ -273,12 +253,15 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		if ev.Seq <= snap.Seq {
 			continue // already folded into the snapshot
 		}
-		if err := s.apply(ev); err != nil {
+		s.seq = ev.Seq
+		rules, err := ev.check()
+		if err != nil {
 			// CRC-valid but semantically bad: warn and keep the rest.
 			s.opts.logger.Warn("skipping unreplayable WAL event",
 				"dir", dir, "seq", ev.Seq, "op", ev.Op, "model", ev.Name, "err", err)
 			continue
 		}
+		s.apply(ev, rules)
 		replayed++
 	}
 	if _, err := f.Seek(int64(valid), 0); err != nil {
@@ -306,7 +289,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 }
 
 // encodeRules returns the canonical compact Rules JSON the store uses
-// everywhere (WAL events, snapshots, GetRaw). Compact form matters:
+// everywhere (WAL events, snapshots, Revision.Raw). Compact form matters:
 // json.Marshal re-compacts embedded json.RawMessage values, so only a
 // compact canonical form survives the journal and snapshot round trips
 // byte-for-byte.
@@ -322,23 +305,17 @@ func encodeRules(r *core.Rules) ([]byte, error) {
 	return compact.Bytes(), nil
 }
 
-// apply folds one WAL event into the in-memory state (replay path).
-func (s *Store) apply(ev walEvent) error {
-	s.seq = ev.Seq
-	switch ev.Op {
-	case opPut:
-		rules, err := core.Load(bytes.NewReader(ev.Rules))
-		if err != nil {
-			return err
-		}
-		s.install(ev.Name, rev{version: ev.Version, rules: rules, raw: ev.Rules, seq: ev.Seq})
-		return nil
-	case opDelete:
+// apply folds a checked event into the in-memory state: a put installs
+// its rules as revision ev.Version, a delete drops the name's history.
+// WAL replay, ApplyEvent and every local mutation end here. Callers
+// hold s.mu and have journaled ev (or are replaying it).
+func (s *Store) apply(ev Event, rules *core.Rules) {
+	if ev.Op == opDelete {
 		delete(s.models, ev.Name)
-		return nil
-	default:
-		return fmt.Errorf("unknown op %q", ev.Op)
+	} else {
+		s.install(ev.Name, Revision{Version: ev.Version, Rules: rules, Raw: ev.Rules, seq: ev.Seq})
 	}
+	s.met.models.Set(float64(len(s.models)))
 }
 
 // install appends a revision to a model's history, pruning beyond the
@@ -349,20 +326,16 @@ func (s *Store) apply(ev walEvent) error {
 // whatever the log holds. The log thus keeps at most maxVersions puts
 // of any one model, however large the replicationLog bound. Callers
 // hold s.mu and have journaled the event r carries.
-func (s *Store) install(name string, r rev) {
-	m := s.models[name]
-	if m == nil {
-		m = &model{}
-		s.models[name] = m
+func (s *Store) install(name string, r Revision) {
+	revs := append(s.models[name], r)
+	if limit := s.opts.maxVersions; limit > 0 && len(revs) > limit {
+		pruned := len(revs) - limit
+		s.trimReplog(revs[pruned-1].seq)
+		revs = append(revs[:0], revs[pruned:]...)
 	}
-	m.revs = append(m.revs, r)
-	if limit := s.opts.maxVersions; limit > 0 && len(m.revs) > limit {
-		pruned := len(m.revs) - limit
-		s.trimReplog(m.revs[pruned-1].seq)
-		m.revs = append(m.revs[:0], m.revs[pruned:]...)
-	}
-	if r.version > s.lastVersion[name] {
-		s.lastVersion[name] = r.version
+	s.models[name] = revs
+	if r.Version > s.lastVersion[name] {
+		s.lastVersion[name] = r.Version
 	}
 }
 
@@ -374,7 +347,7 @@ func (s *Store) install(name string, r rev) {
 // itself fails the store wedges: every later mutation returns ErrFailed
 // rather than appending past torn bytes that recovery would stop at.
 // Callers hold s.mu.
-func (s *Store) journal(ctx context.Context, ev walEvent) error {
+func (s *Store) journal(ctx context.Context, ev Event) error {
 	// Stamp the committing request's trace onto the event (replicated
 	// applies arrive pre-stamped with the LEADER's trace and a traceless
 	// ctx, so an existing stamp is never overwritten): followers parent
@@ -407,20 +380,18 @@ func (s *Store) journal(ctx context.Context, ev walEvent) error {
 				s.opts.logger.Error("store failed: torn WAL could not be rolled back",
 					"dir", s.dir, "commit_err", err, "rollback_err", rbErr)
 				s.met.walFailures.Inc()
-				return fmt.Errorf("store: committing WAL record: %w", err)
+			} else {
+				s.met.walSizeBytes.Set(float64(s.wal.size))
 			}
-			s.met.walSizeBytes.Set(float64(s.wal.size))
 			return fmt.Errorf("store: committing WAL record: %w", err)
 		}
 		if s.wal.sync {
 			s.met.fsyncs.Inc()
 		}
-		s.met.appends.With(ev.Op).Inc()
 		s.met.walWrittenBytes.Add(float64(n))
 		s.met.walSizeBytes.Set(float64(s.wal.size))
-	} else {
-		s.met.appends.With(ev.Op).Inc()
 	}
+	s.met.appends.With(ev.Op).Inc()
 	s.seq = ev.Seq
 	s.sinceSnap++
 	s.appendReplog(ev)
@@ -428,16 +399,32 @@ func (s *Store) journal(ctx context.Context, ev walEvent) error {
 	return nil
 }
 
-// Put stores rules under name as a new head version and returns it.
-// The mutation is durable (WAL-committed) before Put returns.
-func (s *Store) Put(name string, rules *core.Rules) (int, error) {
-	return s.PutContext(context.Background(), name, rules)
+// commit journals ev, applies it and runs the periodic compaction: the
+// tail of every mutation. rules are a put's decoded rules. Callers hold
+// s.mu.
+func (s *Store) commit(ctx context.Context, ev Event, rules *core.Rules) error {
+	if err := s.journal(ctx, ev); err != nil {
+		return err
+	}
+	s.apply(ev, rules)
+	s.maybeSnapshot(ctx)
+	return nil
 }
 
-// PutContext is Put with trace spans: a "store.put" span covers the
-// whole mutation, with "wal.append"/"wal.fsync" children from the
-// journal and a "store.snapshot" child when the put trips the periodic
-// compaction.
+// writable reports why the store refuses mutations: it is closed, or a
+// failed WAL rollback wedged it. Callers hold s.mu.
+func (s *Store) writable() error {
+	if s.closed {
+		return ErrClosed
+	}
+	return s.failed
+}
+
+// PutContext stores rules under name as a new head version and returns
+// it. The mutation is durable (WAL-committed) before PutContext
+// returns. A "store.put" span covers the whole mutation, with
+// "wal.append"/"wal.fsync" children from the journal and a
+// "store.snapshot" child when the put trips the periodic compaction.
 func (s *Store) PutContext(ctx context.Context, name string, rules *core.Rules) (int, error) {
 	if name == "" {
 		return 0, errors.New("store: empty model name")
@@ -455,67 +442,45 @@ func (s *Store) PutContext(ctx context.Context, name string, rules *core.Rules) 
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	if s.failed != nil {
-		return 0, s.failed
+	if err := s.writable(); err != nil {
+		return 0, err
 	}
 	version := s.lastVersion[name] + 1
 	sp.SetAttr("version", version)
-	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opPut, Name: name, Version: version, Rules: raw}); err != nil {
+	if err := s.commit(ctx, Event{Seq: s.seq + 1, Op: opPut, Name: name, Version: version, Rules: raw}, rules); err != nil {
 		return 0, err
 	}
-	s.install(name, rev{version: version, rules: rules, raw: raw, seq: s.seq})
-	s.met.models.Set(float64(len(s.models)))
-	s.maybeSnapshot(ctx)
 	return version, nil
 }
 
-// Delete removes a model (its whole history), reporting whether it
-// existed. The version counter for the name is retained so a future
-// re-create continues from version n+1.
-func (s *Store) Delete(name string) (bool, error) {
-	return s.DeleteContext(context.Background(), name)
-}
-
-// DeleteContext is Delete with a "store.delete" trace span (children as
-// in PutContext).
+// DeleteContext removes a model (its whole history), reporting whether
+// it existed, under a "store.delete" span (children as in PutContext).
+// The version counter for the name is retained so a future re-create
+// continues from version n+1.
 func (s *Store) DeleteContext(ctx context.Context, name string) (bool, error) {
 	ctx, sp := trace.Start(ctx, "store.delete")
 	defer sp.End()
 	sp.SetAttr("model", name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return false, ErrClosed
-	}
-	if s.failed != nil {
-		return false, s.failed
+	if err := s.writable(); err != nil {
+		return false, err
 	}
 	if _, ok := s.models[name]; !ok {
 		return false, nil
 	}
-	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opDelete, Name: name}); err != nil {
+	if err := s.commit(ctx, Event{Seq: s.seq + 1, Op: opDelete, Name: name}, nil); err != nil {
 		return false, err
 	}
-	delete(s.models, name)
-	s.met.models.Set(float64(len(s.models)))
-	s.maybeSnapshot(ctx)
 	return true, nil
 }
 
-// Rollback re-installs retained version v of name as a new head
-// version, returning the restored rules and the new head's number (the
-// pair is taken under the store lock, so it cannot mix revisions with a
-// concurrent Put). It is journaled as a plain put, so history stays
+// RollbackContext re-installs retained version v of name as a new head
+// version under a "store.rollback" span (children as in PutContext),
+// returning the restored rules and the new head's number (the pair is
+// taken under the store lock, so it cannot mix revisions with a
+// concurrent put). It is journaled as a plain put, so history stays
 // linear: rolling back never erases revisions.
-func (s *Store) Rollback(name string, version int) (*core.Rules, int, error) {
-	return s.RollbackContext(context.Background(), name, version)
-}
-
-// RollbackContext is Rollback with a "store.rollback" trace span
-// (children as in PutContext).
 func (s *Store) RollbackContext(ctx context.Context, name string, version int) (*core.Rules, int, error) {
 	ctx, sp := trace.Start(ctx, "store.rollback")
 	defer sp.End()
@@ -523,93 +488,61 @@ func (s *Store) RollbackContext(ctx context.Context, name string, version int) (
 	sp.SetAttr("to_version", version)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, 0, ErrClosed
-	}
-	if s.failed != nil {
-		return nil, 0, s.failed
-	}
-	m := s.models[name]
-	if m == nil {
-		return nil, 0, fmt.Errorf("model %q: %w", name, ErrNotFound)
-	}
-	var target rev
-	found := false
-	for _, r := range m.revs {
-		if r.version == version {
-			target, found = r, true
-			break
-		}
-	}
-	if !found {
-		return nil, 0, fmt.Errorf("model %q version %d: %w", name, version, ErrVersionNotFound)
-	}
-	newVersion := s.lastVersion[name] + 1
-	if err := s.journal(ctx, walEvent{Seq: s.seq + 1, Op: opPut, Name: name, Version: newVersion, Rules: target.raw}); err != nil {
+	if err := s.writable(); err != nil {
 		return nil, 0, err
 	}
-	s.install(name, rev{version: newVersion, rules: target.rules, raw: target.raw, seq: s.seq})
-	s.maybeSnapshot(ctx)
-	return target.rules, newVersion, nil
+	target, err := s.revision(name, version)
+	if err == nil && version == 0 {
+		// Version 0 names the head in lookups; it is no rollback target.
+		err = fmt.Errorf("model %q version 0: %w", name, ErrVersionNotFound)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	rules, newVersion := target.Rules, s.lastVersion[name]+1
+	if err := s.commit(ctx, Event{Seq: s.seq + 1, Op: opPut, Name: name, Version: newVersion, Rules: target.Raw}, rules); err != nil {
+		return nil, 0, err
+	}
+	return rules, newVersion, nil
+}
+
+// revision finds retained version v of name, or its head when v is 0.
+// The error wraps ErrNotFound when the model does not exist and
+// ErrVersionNotFound when v is not retained. Callers hold s.mu.
+func (s *Store) revision(name string, version int) (*Revision, error) {
+	revs := s.models[name]
+	if len(revs) == 0 {
+		return nil, fmt.Errorf("model %q: %w", name, ErrNotFound)
+	}
+	if version == 0 {
+		return &revs[len(revs)-1], nil
+	}
+	for i := range revs {
+		if revs[i].Version == version {
+			return &revs[i], nil
+		}
+	}
+	return nil, fmt.Errorf("model %q version %d: %w", name, version, ErrVersionNotFound)
+}
+
+// Revision returns retained version v of name, or its head when v is 0;
+// errors as for revision. It is the one lookup behind every read of a
+// model: the HTTP GETs and inference routes, rollback candidates and
+// GE annotations.
+func (s *Store) Revision(name string, version int) (Revision, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, err := s.revision(name, version)
+	if err != nil {
+		return Revision{}, err
+	}
+	return *r, nil
 }
 
 // Get returns the head revision of a model and its version.
 func (s *Store) Get(name string) (*core.Rules, int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.models[name]
-	if m == nil || len(m.revs) == 0 {
-		return nil, 0, false
-	}
-	head := m.revs[len(m.revs)-1]
-	return head.rules, head.version, true
-}
-
-// GetRaw returns the head revision's canonical Rules JSON (exactly the
-// bytes Rules.Save produced) and its version.
-func (s *Store) GetRaw(name string) ([]byte, int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.models[name]
-	if m == nil || len(m.revs) == 0 {
-		return nil, 0, false
-	}
-	head := m.revs[len(m.revs)-1]
-	return head.raw, head.version, true
-}
-
-// GetVersion returns a pinned retained revision.
-func (s *Store) GetVersion(name string, version int) (*core.Rules, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.models[name]
-	if m == nil {
-		return nil, false
-	}
-	for _, r := range m.revs {
-		if r.version == version {
-			return r.rules, true
-		}
-	}
-	return nil, false
-}
-
-// GetVersionRaw returns a pinned retained revision's canonical Rules
-// JSON, so version-pinned model GETs serve the exact bytes the revision
-// was journaled with.
-func (s *Store) GetVersionRaw(name string, version int) ([]byte, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.models[name]
-	if m == nil {
-		return nil, false
-	}
-	for _, r := range m.revs {
-		if r.version == version {
-			return r.raw, true
-		}
-	}
-	return nil, false
+	r, err := s.Revision(name, 0)
+	return r.Rules, r.Version, err == nil
 }
 
 // Versions lists the retained revisions of a model, ascending, with the
@@ -617,23 +550,20 @@ func (s *Store) GetVersionRaw(name string, version int) ([]byte, bool) {
 func (s *Store) Versions(name string) (infos []VersionInfo, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m := s.models[name]
-	if m == nil {
+	revs, ok := s.models[name]
+	if !ok {
 		return nil, false
 	}
-	infos = make([]VersionInfo, len(m.revs))
-	for i, r := range m.revs {
+	infos = make([]VersionInfo, len(revs))
+	for i, r := range revs {
 		infos[i] = VersionInfo{
-			Version:     r.version,
-			K:           r.rules.K(),
-			M:           r.rules.M(),
-			TrainedRows: r.rules.TrainedRows(),
-			Bytes:       len(r.raw),
-			Head:        i == len(m.revs)-1,
-		}
-		if r.hasGE {
-			ge := r.ge
-			infos[i].GE = &ge
+			Version:     r.Version,
+			K:           r.Rules.K(),
+			M:           r.Rules.M(),
+			TrainedRows: r.Rules.TrainedRows(),
+			Bytes:       len(r.Raw),
+			Head:        i == len(revs)-1,
+			GE:          r.GE,
 		}
 	}
 	return infos, true
@@ -645,34 +575,9 @@ func (s *Store) Versions(name string) (infos []VersionInfo, ok bool) {
 func (s *Store) SetVersionGE(name string, version int, ge float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.models[name]
-	if m == nil {
-		return
+	if r, err := s.revision(name, version); err == nil {
+		r.GE = &ge // replaced, never written through, so readers' copies stay put
 	}
-	for i := range m.revs {
-		if m.revs[i].version == version {
-			m.revs[i].ge = ge
-			m.revs[i].hasGE = true
-			return
-		}
-	}
-}
-
-// VersionGE reads a revision's GE annotation, ok=false when none was
-// ever recorded (or the version is gone).
-func (s *Store) VersionGE(name string, version int) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.models[name]
-	if m == nil {
-		return 0, false
-	}
-	for _, r := range m.revs {
-		if r.version == version {
-			return r.ge, r.hasGE
-		}
-	}
-	return 0, false
 }
 
 // Failed reports the wedge state: non-nil (wrapping ErrFailed) when a
@@ -736,23 +641,7 @@ func (s *Store) snapshotLocked(ctx context.Context) error {
 	timer := obs.NewTimer(s.met.snapshotSeconds)
 	_, snapSpan := trace.Start(ctx, "store.snapshot")
 	defer snapSpan.End()
-	snap := &snapshotFile{
-		Format:      snapshotFormat,
-		Seq:         s.seq,
-		Models:      make(map[string][]snapRev, len(s.models)),
-		LastVersion: make(map[string]int, len(s.lastVersion)),
-	}
-	for name, m := range s.models {
-		revs := make([]snapRev, len(m.revs))
-		for i, r := range m.revs {
-			revs[i] = snapRev{Version: r.version, Rules: r.raw}
-		}
-		snap.Models[name] = revs
-	}
-	for name, v := range s.lastVersion {
-		snap.LastVersion[name] = v
-	}
-	if err := writeSnapshot(s.dir, snap); err != nil {
+	if err := writeSnapshot(s.dir, s.docLocked()); err != nil {
 		return err
 	}
 	if err := s.wal.reset(); err != nil {

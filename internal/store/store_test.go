@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -39,6 +40,31 @@ func testRules(t testing.TB, slope float64) *core.Rules {
 	return rules
 }
 
+// bg is the context the tests' mutations run under.
+var bg = context.Background()
+
+// getRaw returns name's head bytes and version, ok=false when absent.
+func getRaw(s *Store, name string) ([]byte, int, bool) {
+	r, err := s.Revision(name, 0)
+	return r.Raw, r.Version, err == nil
+}
+
+// getVersion returns a retained revision's rules, ok=false when absent.
+func getVersion(s *Store, name string, version int) (*core.Rules, bool) {
+	r, err := s.Revision(name, version)
+	return r.Rules, err == nil
+}
+
+// versionGE returns a revision's GE annotation, ok=false when there is
+// none (or the version is gone).
+func versionGE(s *Store, name string, version int) (float64, bool) {
+	r, err := s.Revision(name, version)
+	if err != nil || r.GE == nil {
+		return 0, false
+	}
+	return *r.GE, true
+}
+
 // rawOf returns the store's canonical (compact) JSON of a rule set.
 func rawOf(t testing.TB, r *core.Rules) []byte {
 	t.Helper()
@@ -57,10 +83,10 @@ func TestPutGetVersioning(t *testing.T) {
 	defer st.Close()
 
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	if v, err := st.Put("m", r1); err != nil || v != 1 {
+	if v, err := st.PutContext(bg, "m", r1); err != nil || v != 1 {
 		t.Fatalf("first put = v%d, %v; want v1", v, err)
 	}
-	if v, err := st.Put("m", r2); err != nil || v != 2 {
+	if v, err := st.PutContext(bg, "m", r2); err != nil || v != 2 {
 		t.Fatalf("second put = v%d, %v; want v2", v, err)
 	}
 	rules, version, ok := st.Get("m")
@@ -70,10 +96,10 @@ func TestPutGetVersioning(t *testing.T) {
 	if !reflect.DeepEqual(rawOf(t, rules), rawOf(t, r2)) {
 		t.Error("head is not the second put")
 	}
-	if old, ok := st.GetVersion("m", 1); !ok || !bytes.Equal(rawOf(t, old), rawOf(t, r1)) {
+	if old, ok := getVersion(st, "m", 1); !ok || !bytes.Equal(rawOf(t, old), rawOf(t, r1)) {
 		t.Error("pinned v1 not retrievable")
 	}
-	if _, ok := st.GetVersion("m", 99); ok {
+	if _, ok := getVersion(st, "m", 99); ok {
 		t.Error("phantom version retrievable")
 	}
 	infos, ok := st.Versions("m")
@@ -98,13 +124,13 @@ func TestDeleteKeepsVersionCounter(t *testing.T) {
 	}
 	defer st.Close()
 
-	if _, err := st.Put("m", testRules(t, 2)); err != nil {
+	if _, err := st.PutContext(bg, "m", testRules(t, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := st.Delete("m"); !ok || err != nil {
+	if ok, err := st.DeleteContext(bg, "m"); !ok || err != nil {
 		t.Fatalf("delete = %v, %v", ok, err)
 	}
-	if ok, err := st.Delete("m"); ok || err != nil {
+	if ok, err := st.DeleteContext(bg, "m"); ok || err != nil {
 		t.Fatalf("double delete = %v, %v", ok, err)
 	}
 	if _, _, ok := st.Get("m"); ok {
@@ -112,7 +138,7 @@ func TestDeleteKeepsVersionCounter(t *testing.T) {
 	}
 	// Version numbering must never restart — ETags derived from it
 	// would otherwise collide with pre-delete caches.
-	if v, err := st.Put("m", testRules(t, 3)); err != nil || v != 2 {
+	if v, err := st.PutContext(bg, "m", testRules(t, 3)); err != nil || v != 2 {
 		t.Fatalf("re-created model = v%d, %v; want v2", v, err)
 	}
 }
@@ -125,16 +151,16 @@ func TestRollback(t *testing.T) {
 	defer st.Close()
 
 	r1, r2 := testRules(t, 2), testRules(t, 3)
-	st.Put("m", r1)
-	st.Put("m", r2)
-	restored, newV, err := st.Rollback("m", 1)
+	st.PutContext(bg, "m", r1)
+	st.PutContext(bg, "m", r2)
+	restored, newV, err := st.RollbackContext(bg, "m", 1)
 	if err != nil || newV != 3 {
 		t.Fatalf("rollback = v%d, %v; want v3", newV, err)
 	}
 	if !bytes.Equal(rawOf(t, restored), rawOf(t, r1)) {
 		t.Error("rollback did not return the restored revision")
 	}
-	raw, version, ok := st.GetRaw("m")
+	raw, version, ok := getRaw(st, "m")
 	if !ok || version != 3 || !bytes.Equal(raw, rawOf(t, r1)) {
 		t.Fatalf("head after rollback: v%d ok=%v, bytes match=%v", version, ok, bytes.Equal(raw, rawOf(t, r1)))
 	}
@@ -142,10 +168,10 @@ func TestRollback(t *testing.T) {
 		t.Errorf("rollback must extend history, got %d revisions", len(infos))
 	}
 
-	if _, _, err := st.Rollback("nope", 1); !errors.Is(err, ErrNotFound) {
+	if _, _, err := st.RollbackContext(bg, "nope", 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("rollback of unknown model: %v", err)
 	}
-	if _, _, err := st.Rollback("m", 42); !errors.Is(err, ErrVersionNotFound) {
+	if _, _, err := st.RollbackContext(bg, "m", 42); !errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("rollback to unknown version: %v", err)
 	}
 }
@@ -157,10 +183,10 @@ func TestReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1, r2, r3 := testRules(t, 2), testRules(t, 3), testRules(t, 4)
-	st.Put("a", r1)
-	st.Put("a", r2)
-	st.Put("b", r3)
-	st.Delete("b")
+	st.PutContext(bg, "a", r1)
+	st.PutContext(bg, "a", r2)
+	st.PutContext(bg, "b", r3)
+	st.DeleteContext(bg, "b")
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,15 +199,15 @@ func TestReopenRoundTrip(t *testing.T) {
 	if names := st2.Names(); len(names) != 1 || names[0] != "a" {
 		t.Fatalf("reopened names = %v", names)
 	}
-	raw, version, ok := st2.GetRaw("a")
+	raw, version, ok := getRaw(st2, "a")
 	if !ok || version != 2 || !bytes.Equal(raw, rawOf(t, r2)) {
 		t.Fatalf("reopened head: v%d, byte-equal=%v", version, bytes.Equal(raw, rawOf(t, r2)))
 	}
-	if old, ok := st2.GetVersion("a", 1); !ok || !bytes.Equal(rawOf(t, old), rawOf(t, r1)) {
+	if old, ok := getVersion(st2, "a", 1); !ok || !bytes.Equal(rawOf(t, old), rawOf(t, r1)) {
 		t.Error("reopened store lost v1 history")
 	}
 	// Deleted b's counter survives the reopen too.
-	if v, err := st2.Put("b", r3); err != nil || v != 2 {
+	if v, err := st2.PutContext(bg, "b", r3); err != nil || v != 2 {
 		t.Errorf("b after reopen = v%d, %v; want v2", v, err)
 	}
 }
@@ -192,12 +218,12 @@ func TestSnapshotCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put("a", testRules(t, 2))
+	st.PutContext(bg, "a", testRules(t, 2))
 	walPath := filepath.Join(dir, walFileName)
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("WAL empty before snapshot threshold: %v", err)
 	}
-	st.Put("a", testRules(t, 3)) // second event triggers the snapshot
+	st.PutContext(bg, "a", testRules(t, 3)) // second event triggers the snapshot
 	if fi, err := os.Stat(walPath); err != nil || fi.Size() != 0 {
 		t.Fatalf("WAL not compacted after snapshot: size=%d err=%v", fi.Size(), err)
 	}
@@ -223,10 +249,10 @@ func TestSnapshotCompaction(t *testing.T) {
 
 func TestMemoryStore(t *testing.T) {
 	st := OpenMemory()
-	if v, err := st.Put("m", testRules(t, 2)); err != nil || v != 1 {
+	if v, err := st.PutContext(bg, "m", testRules(t, 2)); err != nil || v != 1 {
 		t.Fatalf("memory put = v%d, %v", v, err)
 	}
-	if _, _, err := st.Rollback("m", 1); err != nil {
+	if _, _, err := st.RollbackContext(bg, "m", 1); err != nil {
 		t.Fatalf("memory rollback: %v", err)
 	}
 	if err := st.Snapshot(); err != nil {
@@ -235,10 +261,10 @@ func TestMemoryStore(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put("m", testRules(t, 2)); err != ErrClosed {
+	if _, err := st.PutContext(bg, "m", testRules(t, 2)); err != ErrClosed {
 		t.Errorf("put after close = %v, want ErrClosed", err)
 	}
-	if _, err := st.Delete("m"); err != ErrClosed {
+	if _, err := st.DeleteContext(bg, "m"); err != ErrClosed {
 		t.Errorf("delete after close = %v, want ErrClosed", err)
 	}
 }
@@ -246,10 +272,10 @@ func TestMemoryStore(t *testing.T) {
 func TestPutValidation(t *testing.T) {
 	st := OpenMemory()
 	defer st.Close()
-	if _, err := st.Put("", testRules(t, 2)); err == nil {
+	if _, err := st.PutContext(bg, "", testRules(t, 2)); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := st.Put("m", nil); err == nil {
+	if _, err := st.PutContext(bg, "m", nil); err == nil {
 		t.Error("nil rules accepted")
 	}
 }
@@ -260,17 +286,17 @@ func TestMaxVersionsPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.Put("m", testRules(t, 2))
-	st.Put("m", testRules(t, 3))
-	st.Put("m", testRules(t, 4))
+	st.PutContext(bg, "m", testRules(t, 2))
+	st.PutContext(bg, "m", testRules(t, 3))
+	st.PutContext(bg, "m", testRules(t, 4))
 	infos, _ := st.Versions("m")
 	if len(infos) != 2 || infos[0].Version != 2 || infos[1].Version != 3 {
 		t.Fatalf("retained = %+v, want v2,v3", infos)
 	}
-	if _, ok := st.GetVersion("m", 1); ok {
+	if _, ok := getVersion(st, "m", 1); ok {
 		t.Error("pruned version still retrievable")
 	}
-	if _, _, err := st.Rollback("m", 1); !errors.Is(err, ErrVersionNotFound) {
+	if _, _, err := st.RollbackContext(bg, "m", 1); !errors.Is(err, ErrVersionNotFound) {
 		t.Errorf("rollback to pruned version: %v", err)
 	}
 }
@@ -291,16 +317,16 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("m%d", g)
 			for i := 0; i < 25; i++ {
-				if _, err := st.Put(name, rules); err != nil {
+				if _, err := st.PutContext(bg, name, rules); err != nil {
 					t.Errorf("put: %v", err)
 					return
 				}
 				st.Get(name)
-				st.GetRaw(name)
+				getRaw(st, name)
 				st.Versions(name)
 				st.Names()
 				if i%5 == 4 {
-					if _, err := st.Delete(name); err != nil {
+					if _, err := st.DeleteContext(bg, name); err != nil {
 						t.Errorf("delete: %v", err)
 						return
 					}

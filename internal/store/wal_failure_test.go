@@ -55,13 +55,13 @@ func TestShortWriteRolledBack(t *testing.T) {
 	}
 	defer st.Close()
 	r1, r3 := testRules(t, 2), testRules(t, 4)
-	if _, err := st.Put("m", r1); err != nil {
+	if _, err := st.PutContext(bg, "m", r1); err != nil {
 		t.Fatal(err)
 	}
 	off1 := walSize(t, dir)
 
 	st.wal.f = &flakyFile{walFile: st.wal.f, failNextWrite: true}
-	if _, err := st.Put("m", testRules(t, 3)); err == nil {
+	if _, err := st.PutContext(bg, "m", testRules(t, 3)); err == nil {
 		t.Fatal("put with failing write must error")
 	}
 	if got := walSize(t, dir); got != off1 {
@@ -69,7 +69,7 @@ func TestShortWriteRolledBack(t *testing.T) {
 	}
 
 	// The failed put was never acknowledged, so the next one takes v2.
-	if v, err := st.Put("m", r3); err != nil || v != 2 {
+	if v, err := st.PutContext(bg, "m", r3); err != nil || v != 2 {
 		t.Fatalf("put after rollback = v%d, %v; want v2", v, err)
 	}
 
@@ -87,11 +87,11 @@ func TestShortWriteRolledBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	raw, version, ok := st2.GetRaw("m")
+	raw, version, ok := getRaw(st2, "m")
 	if !ok || version != 2 || !bytes.Equal(raw, rawOf(t, r3)) {
 		t.Fatalf("recovered head = v%d ok=%v; want clean v2", version, ok)
 	}
-	if old, ok := st2.GetVersion("m", 1); !ok || !bytes.Equal(rawOf(t, old), rawOf(t, r1)) {
+	if old, ok := getVersion(st2, "m", 1); !ok || !bytes.Equal(rawOf(t, old), rawOf(t, r1)) {
 		t.Error("commit before the failed append was lost")
 	}
 }
@@ -107,20 +107,20 @@ func TestFailedSyncDoesNotDuplicateVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Put("m", testRules(t, 2)); err != nil {
+	if _, err := st.PutContext(bg, "m", testRules(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 	off1 := walSize(t, dir)
 
 	st.wal.f = &flakyFile{walFile: st.wal.f, failNextSync: true}
 	r2 := testRules(t, 3)
-	if _, err := st.Put("m", r2); err == nil {
+	if _, err := st.PutContext(bg, "m", r2); err == nil {
 		t.Fatal("put must fail when the WAL fsync fails")
 	}
 	if got := walSize(t, dir); got != off1 {
 		t.Fatalf("unacknowledged record left in log: size %d, want %d", got, off1)
 	}
-	if v, err := st.Put("m", r2); err != nil || v != 2 {
+	if v, err := st.PutContext(bg, "m", r2); err != nil || v != 2 {
 		t.Fatalf("retried put = v%d, %v; want v2", v, err)
 	}
 
@@ -153,21 +153,21 @@ func TestRollbackFailureWedgesStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Put("m", testRules(t, 2)); err != nil {
+	if _, err := st.PutContext(bg, "m", testRules(t, 2)); err != nil {
 		t.Fatal(err)
 	}
 
 	st.wal.f = &flakyFile{walFile: st.wal.f, failNextSync: true, failTruncate: true}
-	if _, err := st.Put("m", testRules(t, 3)); err == nil {
+	if _, err := st.PutContext(bg, "m", testRules(t, 3)); err == nil {
 		t.Fatal("put must fail when fsync fails")
 	}
-	if _, err := st.Put("m", testRules(t, 3)); !errors.Is(err, ErrFailed) {
+	if _, err := st.PutContext(bg, "m", testRules(t, 3)); !errors.Is(err, ErrFailed) {
 		t.Fatalf("put on failed store = %v, want ErrFailed", err)
 	}
-	if _, err := st.Delete("m"); !errors.Is(err, ErrFailed) {
+	if _, err := st.DeleteContext(bg, "m"); !errors.Is(err, ErrFailed) {
 		t.Fatalf("delete on failed store = %v, want ErrFailed", err)
 	}
-	if _, _, err := st.Rollback("m", 1); !errors.Is(err, ErrFailed) {
+	if _, _, err := st.RollbackContext(bg, "m", 1); !errors.Is(err, ErrFailed) {
 		t.Fatalf("rollback on failed store = %v, want ErrFailed", err)
 	}
 	if _, version, ok := st.Get("m"); !ok || version != 1 {
