@@ -324,65 +324,79 @@ func TestV1ContractAdmissionIngestShed(t *testing.T) {
 // terminate the response anyway — before the fix, each refused row
 // kept extending the rolling write deadline, so a rate-limited client
 // could hold the connection (and its quota slot) open indefinitely.
+// The response must end whole (readIngestLines reads it to a clean
+// EOF) whether the client floods or trickles, i.e. whether the server
+// stops reading the rest of the body at its byte bound or at its
+// wind-down deadline.
 func TestV1ContractAdmissionShedClosesSlowClient(t *testing.T) {
-	ts := admissionServer(t)
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest("POST", ts.URL+"/v1/rules/live/ingest", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer tok-limited")
-	req.Header.Set("Content-Type", ndjsonContentType)
-	// Trickle rows from a goroutine that NEVER closes the pipe (started
-	// before Do: response headers only flush once rows flow); once the
-	// server stops reading (stream terminated), writes start failing
-	// and the goroutine parks until cleanup.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
+	for _, tc := range []struct {
+		label string
+		pause time.Duration // between rows once the bucket has run dry
+	}{{"flooding", 0}, {"trickling", 50 * time.Millisecond}} {
+		t.Run(tc.label, func(t *testing.T) {
+			ts := admissionServer(t)
+			pr, pw := io.Pipe()
+			req, err := http.NewRequest("POST", ts.URL+"/v1/rules/live/ingest", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Authorization", "Bearer tok-limited")
+			req.Header.Set("Content-Type", ndjsonContentType)
+			// Trickle rows from a goroutine that NEVER closes the pipe (started
+			// before Do: response headers only flush once rows flow); once the
+			// server stops reading (stream terminated), writes start failing
+			// and the goroutine parks until cleanup.
+			stop := make(chan struct{})
+			defer close(stop)
+			go func() {
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						pw.Close()
+						return
+					default:
+					}
+					if _, err := pw.Write([]byte("[1, 2]\n")); err != nil {
+						<-stop
+						pw.Close()
+						return
+					}
+					if i > 2 {
+						time.Sleep(tc.pause)
+					}
+				}
+			}()
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// readIngestLines consumes the response to EOF: if the server kept
+			// the stream open refusing rows forever, this would hang until the
+			// test deadline instead of returning the 3-line shed contract.
+			type result struct {
+				lines []ingestLine
+				done  ingestLine
+			}
+			got := make(chan result, 1)
+			go func() {
+				lines, done := readIngestLines(t, resp)
+				got <- result{lines, done}
+			}()
 			select {
-			case <-stop:
-				pw.Close()
-				return
-			default:
+			case r := <-got:
+				if len(r.lines) != 3 {
+					t.Fatalf("got %d row lines, want 3 (2 acks + 1 shed): %+v", len(r.lines), r.lines)
+				}
+				if r.lines[2].Error == nil || r.lines[2].Error.Code != CodeRateLimited {
+					t.Fatalf("line 2: want rate_limited error, got %+v", r.lines[2])
+				}
+				if r.done.Done.Accepted != 2 || r.done.Done.Errors != 1 {
+					t.Fatalf("done summary = %+v, want accepted 2 errors 1", *r.done.Done)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("shed did not terminate the stream: response still open with the client body unclosed")
 			}
-			if _, err := pw.Write([]byte("[1, 2]\n")); err != nil {
-				<-stop
-				pw.Close()
-				return
-			}
-		}
-	}()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// readIngestLines consumes the response to EOF: if the server kept
-	// the stream open refusing rows forever, this would hang until the
-	// test deadline instead of returning the 3-line shed contract.
-	type result struct {
-		lines []ingestLine
-		done  ingestLine
-	}
-	got := make(chan result, 1)
-	go func() {
-		lines, done := readIngestLines(t, resp)
-		got <- result{lines, done}
-	}()
-	select {
-	case r := <-got:
-		if len(r.lines) != 3 {
-			t.Fatalf("got %d row lines, want 3 (2 acks + 1 shed): %+v", len(r.lines), r.lines)
-		}
-		if r.lines[2].Error == nil || r.lines[2].Error.Code != CodeRateLimited {
-			t.Fatalf("line 2: want rate_limited error, got %+v", r.lines[2])
-		}
-		if r.done.Done.Accepted != 2 || r.done.Done.Errors != 1 {
-			t.Fatalf("done summary = %+v, want accepted 2 errors 1", *r.done.Done)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("shed did not terminate the stream: response still open with the client body unclosed")
+		})
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
@@ -150,12 +151,11 @@ func (lw *lineWriter) close() {
 // line over the cap, a shed row, bytes after a JSON array); left to
 // net/http, the rest of the body makes it log "invalid concurrent
 // Body.Read call" and drop the keep-alive connection. A client still
-// sending past the deadline or maxDrainBytes cannot hold the handler:
-// the drain stops, and past maxDrainBytes http.MaxBytesReader has
-// net/http close the connection after this reply, FIN first, so the
-// client still reads every line. The caller must have stopped every
-// other reader of body; a canceled ctx skips the drain, as the client
-// is gone.
+// sending past maxDrainBytes or the deadline cannot hold the handler:
+// the drain stops, and net/http closes the connection once the reply's
+// last chunk is out, FIN first, so the client still reads a whole
+// response. The caller must have stopped every other reader of body; a
+// canceled ctx skips the drain, as the client is gone.
 func (lw *lineWriter) end(ctx context.Context, body io.ReadCloser, last any) {
 	t := time.Now().Add(shedDrainSlack)
 	_ = lw.rc.SetReadDeadline(t)
@@ -175,7 +175,14 @@ func (lw *lineWriter) end(ctx context.Context, body io.ReadCloser, last any) {
 		}
 		w = u.Unwrap()
 	}
-	_, _ = io.Copy(io.Discard, http.MaxBytesReader(w, body, maxDrainBytes))
+	if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, body, maxDrainBytes)); err != nil {
+		// A read past a MaxBytesReader limit is how a handler whose
+		// headers are out asks net/http to close after the reply; past
+		// maxDrainBytes that has happened, past the deadline it is done
+		// here. The reply's last chunk gets a write deadline of its own.
+		_, _ = http.MaxBytesReader(w, io.NopCloser(strings.NewReader(" ")), 0).Read(make([]byte, 1))
+		_ = lw.rc.SetWriteDeadline(time.Now().Add(shedDrainSlack))
+	}
 }
 
 // maxDrainBytes bounds what end reads of a body after the response:
