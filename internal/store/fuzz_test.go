@@ -101,7 +101,8 @@ func TestDecodeRecordsUnit(t *testing.T) {
 // store holding known models. It must never panic; a doc it rejects
 // must leave Seq, Names and every head's bytes as they were; a doc it
 // accepts must list each model's revisions strictly ascending, head
-// last, with the version counter past the head.
+// last, and give every name it knows a version counter past the head
+// and above zero, so the next put journals an event replay accepts.
 func FuzzRestoreSnapshot(f *testing.F) {
 	rules := func(mean int) string {
 		return fmt.Sprintf(`{"means":[%d],"eigenvalues":[1],"total_variance":1,"trained_rows":2,"vectors":[[1]]}`, mean)
@@ -114,6 +115,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	seed(fmt.Sprintf(`{"seq":5,"models":{"m":[{"version":2,"rules":%s},{"version":2,"rules":%s}]}}`, rules(2), rules(3)))
 	seed(fmt.Sprintf(`{"seq":5,"models":{"m":[{"version":4,"rules":%s}]},"last_version":{"m":1}}`, rules(4)))
 	seed(`{"seq":1,"models":{"m":[]}}`)
+	seed(`{"seq":1,"models":{},"last_version":{"x":-5}}`)
 	seed(`null`)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,16 +148,24 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		if st.Seq() != doc.Seq {
 			t.Fatalf("restored seq %d, doc seq %d", st.Seq(), doc.Seq)
 		}
-		for _, name := range st.Names() {
+		names = st.Names()
+		for name := range doc.LastVersion {
+			if name != "" {
+				names = append(names, name)
+			}
+		}
+		for _, name := range names {
 			infos, _ := st.Versions(name)
+			head := 0
 			for i, in := range infos {
 				if (i > 0 && in.Version <= infos[i-1].Version) || in.Head != (i == len(infos)-1) {
 					t.Fatalf("%q restored as %+v", name, infos)
 				}
+				head = in.Version
 			}
 			v, err := st.PutContext(bg, name, testRules(t, 9))
-			if err != nil || v <= infos[len(infos)-1].Version {
-				t.Fatalf("put on %q after restore: v%d, %v; head was v%d", name, v, err, infos[len(infos)-1].Version)
+			if err != nil || v <= head || v <= 0 {
+				t.Fatalf("put on %q after restore: v%d, %v; head was v%d", name, v, err, head)
 			}
 		}
 	})

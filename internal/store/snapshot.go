@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,15 +59,21 @@ type state struct {
 // version and raises each name's version counter to its newest
 // revision, and returns the resulting state without touching any
 // store: a torn or corrupt doc fails closed. A model with no
-// revisions, an empty name, or a version that is not positive or
-// appears twice is corrupt.
+// revisions, an empty name, a version that is not positive or appears
+// twice, or a negative version counter is corrupt.
 func loadDoc(doc *SnapshotDoc) (state, error) {
 	st := state{
 		seq:         doc.Seq,
 		models:      make(map[string][]Revision, len(doc.Models)),
 		lastVersion: make(map[string]int, len(doc.LastVersion)),
 	}
-	maps.Copy(st.lastVersion, doc.LastVersion)
+	for name, v := range doc.LastVersion {
+		if v < 0 {
+			// The next put would journal version v+1, which replay skips.
+			return state{}, fmt.Errorf("store: snapshot version counter %q = %d", name, v)
+		}
+		st.lastVersion[name] = v
+	}
 	for name, srs := range doc.Models {
 		if name == "" || len(srs) == 0 {
 			return state{}, fmt.Errorf("store: snapshot model %q: empty name or no revisions", name)
