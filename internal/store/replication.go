@@ -183,6 +183,9 @@ func (s *Store) ApplyEvent(ev Event) (applied bool, err error) {
 	if ev.Seq != s.seq+1 {
 		return false, fmt.Errorf("store: replicated seq %d after %d: gap, %w", ev.Seq, s.seq, ErrSnapshotNeeded)
 	}
+	if err := s.follows(ev); err != nil {
+		return false, err
+	}
 	if err := s.commit(context.Background(), ev, rules); err != nil {
 		return false, err
 	}

@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -450,5 +453,56 @@ func TestRestoreSnapshotOutOfOrder(t *testing.T) {
 	infos, _ := st.Versions("m")
 	if len(infos) != 2 || infos[0].Version != 1 || !infos[1].Head || infos[1].Version != 2 {
 		t.Fatalf("restored versions = %+v, want v1 then head v2", infos)
+	}
+}
+
+// TestStaleVersionRejected: a well-framed put whose version is not
+// above its name's counter — which no store journals — is refused by
+// ApplyEvent and skipped by WAL replay, so a name's history keeps
+// ascending with the newest version as its head.
+func TestStaleVersionRejected(t *testing.T) {
+	leader, follower := OpenMemory(), OpenMemory()
+	for i := 0; i < 3; i++ {
+		if _, err := leader.PutContext(bg, "m", testRules(t, float64(i+2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := leader.EventsSince(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if _, err := follower.ApplyEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale := events[0]
+	stale.Seq = follower.Seq() + 1
+	if applied, err := follower.ApplyEvent(stale); err == nil || applied {
+		t.Fatalf("stale put: applied=%v err=%v, want a refusal", applied, err)
+	}
+	if raw, v, _ := getRaw(follower, "m"); v != 3 || follower.Seq() != 3 || !bytes.Equal(raw, events[2].Rules) {
+		t.Fatalf("after a refused stale put: head v%d at seq %d", v, follower.Seq())
+	}
+
+	dir := t.TempDir()
+	var wal []byte
+	for _, ev := range []Event{events[0], events[1], stale} {
+		payload, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = append(wal, encodeRecord(payload)...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, walFileName), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, WithNoSync())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if infos, _ := st.Versions("m"); len(infos) != 2 || infos[1].Version != 2 || !infos[1].Head {
+		t.Fatalf("replayed history = %+v, want v1 then head v2", infos)
 	}
 }

@@ -255,6 +255,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		}
 		s.seq = ev.Seq
 		rules, err := ev.check()
+		if err == nil {
+			err = s.follows(ev)
+		}
 		if err != nil {
 			// CRC-valid but semantically bad: warn and keep the rest.
 			s.opts.logger.Warn("skipping unreplayable WAL event",
@@ -316,6 +319,17 @@ func (s *Store) apply(ev Event, rules *core.Rules) {
 		s.install(ev.Name, Revision{Version: ev.Version, Rules: rules, Raw: ev.Rules, seq: ev.Seq})
 	}
 	s.met.models.Set(float64(len(s.models)))
+}
+
+// follows checks a checked event against the current state: a put must
+// carry a version above its name's counter, as every put the store
+// journals does, or the name's history would stop ascending. Callers
+// hold s.mu.
+func (s *Store) follows(ev Event) error {
+	if last := s.lastVersion[ev.Name]; ev.Op == opPut && ev.Version <= last {
+		return fmt.Errorf("store: put %q v%d at seq %d: version not above %d", ev.Name, ev.Version, ev.Seq, last)
+	}
+	return nil
 }
 
 // install appends a revision to a model's history, pruning beyond the
