@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,9 +109,10 @@ func FuzzWhatIf(f *testing.F) {
 }
 
 // FuzzLoadRules checks that Load never panics and that every rule set it
-// accepts keeps the invariants the solves assume (VᵗV = I to within
-// orthoTol; finite, non-negative, descending eigenvalues), re-saves
-// byte-identically, and fills a fixed finite row with finite values.
+// accepts is one JSON object followed by nothing but white space, keeps
+// the invariants the solves assume (VᵗV = I to within orthoTol; finite,
+// non-negative, descending eigenvalues), re-saves byte-identically, and
+// fills a fixed finite row with finite values.
 func FuzzLoadRules(f *testing.F) {
 	miner, err := NewMiner()
 	if err != nil {
@@ -129,10 +131,21 @@ func FuzzLoadRules(f *testing.F) {
 	f.Add([]byte(`{"means":[0,0],"eigenvalues":[1,2],"vectors":[[1,0],[0,1]]}`))
 	f.Add([]byte(`{"means":[1,2],"eigenvalues":[3],"vectors":[[1],[0]],"residual_std":[0,1]}`))
 	f.Add([]byte(`{"means":[],"eigenvalues":[],"vectors":[]}`))
+	f.Add(append(append([]byte(nil), buf.Bytes()...), buf.Bytes()...))
+	f.Add([]byte(`{"means":[0],"eigenvalues":[],"vectors":[[]]} x`))
+	f.Add([]byte(`{"means":[0],"eigenvalues":[],"vectors":[[]]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var doc json.RawMessage
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatalf("accepted input that is no JSON value: %v", err)
+		}
+		if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+			t.Fatalf("accepted %q after the rule set", rest)
 		}
 		m, k := r.M(), r.K()
 		for i, l := range r.eigenvalues {

@@ -119,8 +119,9 @@ func WithLanczosSolver() Option {
 	}
 }
 
-// NewMiner returns a Miner with the paper's defaults (85% energy cutoff,
-// the full tred2/tql2 eigensolve of eigen.SymEig).
+// NewMiner returns a Miner with the paper's defaults (85% energy cutoff;
+// every eigenvalue from eigen.SymEigLeading, eigenvectors only for the
+// rules kept).
 func NewMiner(opts ...Option) (*Miner, error) {
 	m := &Miner{energy: DefaultEnergy, fixedK: -1}
 	for _, o := range opts {
@@ -257,23 +258,22 @@ func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, mea
 	var (
 		sys   *eigen.System
 		total float64
+		k     int
 		err   error
 	)
 	eigTimer := obs.NewTimer(eigensolvePhase)
 	_, eigSpan := trace.Start(ctx, "mine.eigensolve")
 	if m.lanczos {
 		sys, total, err = m.leadingPairs(scatter)
-	} else {
-		sys, err = eigen.SymEig(scatter)
 		if err == nil {
-			// Clamp round-off negatives: a scatter matrix is PSD.
-			for i, l := range sys.Values {
-				if l < 0 {
-					sys.Values[i] = 0
-				}
-				total += sys.Values[i]
-			}
+			k = m.chooseK(sys.Values, total)
 		}
+	} else {
+		sys, err = eigen.SymEigLeading(scatter, func(values []float64) int {
+			total = clampPSD(values)
+			k = m.chooseK(values, total)
+			return k
+		})
 	}
 	eigSpan.End()
 	eigTimer.ObserveDuration()
@@ -281,7 +281,25 @@ func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, mea
 		return nil, fmt.Errorf("core: eigensystem of %d×%d covariance: %w",
 			scatter.Rows(), scatter.Cols(), err)
 	}
-	k := m.chooseK(sys.Values, total)
+	return m.rulesFromSystem(scatter, means, n, sys, total, k), nil
+}
+
+// clampPSD zeroes round-off negatives among the eigenvalues of a scatter
+// matrix, which is PSD, and returns their sum.
+func clampPSD(values []float64) float64 {
+	var total float64
+	for i, l := range values {
+		if l < 0 {
+			values[i] = 0
+		}
+		total += values[i]
+	}
+	return total
+}
+
+// rulesFromSystem keeps the leading k eigenpairs of the scatter matrix's
+// eigensystem sys (whose eigenvalues sum to total) as the rule set.
+func (m *Miner) rulesFromSystem(scatter *matrix.Dense, means []float64, n int, sys *eigen.System, total float64, k int) *Rules {
 	minerRulesRetained.Set(float64(k))
 	cols := make([]int, k)
 	for i := range cols {
@@ -313,7 +331,7 @@ func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, mea
 		trainedRows:   n,
 		residStd:      residStd,
 		lev:           leverages(v),
-	}, nil
+	}
 }
 
 // leadingPairs extracts just the eigenpairs the cutoff can possibly

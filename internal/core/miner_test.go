@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -344,6 +346,72 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveBytes pins Save's document byte for byte (two-space indent,
+// HTML-escaped names, a final newline) and MarshalJSON's as its compact
+// form.
+func TestSaveBytes(t *testing.T) {
+	v := matrix.MustFromRows([][]float64{{0.6, 0.8}, {0.8, -0.6}})
+	r := &Rules{
+		attrs:         []string{"<bread>", "milk & honey"},
+		means:         []float64{1.5, -2},
+		v:             v,
+		eigenvalues:   []float64{3, 0.25},
+		totalVariance: 3.25,
+		trainedRows:   10,
+		residStd:      []float64{0, 0.125},
+		lev:           leverages(v),
+	}
+	const want = `{
+  "attrs": [
+    "\u003cbread\u003e",
+    "milk \u0026 honey"
+  ],
+  "means": [
+    1.5,
+    -2
+  ],
+  "eigenvalues": [
+    3,
+    0.25
+  ],
+  "total_variance": 3.25,
+  "trained_rows": 10,
+  "vectors": [
+    [
+      0.6,
+      0.8
+    ],
+    [
+      0.8,
+      -0.6
+    ]
+  ],
+  "residual_std": [
+    0,
+    0.125
+  ]
+}
+`
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("Save wrote\n%s\nwant\n%s", buf.String(), want)
+	}
+	compact, err := r.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantCompact bytes.Buffer
+	if err := json.Compact(&wantCompact, []byte(want)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact, wantCompact.Bytes()) {
+		t.Errorf("MarshalJSON = %s, want %s", compact, wantCompact.Bytes())
+	}
+}
+
 func TestLoadRejectsCorrupt(t *testing.T) {
 	cases := map[string]string{
 		"not json":       "{",
@@ -372,6 +440,19 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Load(strings.NewReader(in)); !errors.Is(err, ErrBadRules) {
 				t.Errorf("got %v, want ErrBadRules", err)
+			}
+		})
+	}
+	// Only JSON white space may follow the rule set.
+	const one = `{"means":[0],"eigenvalues":[],"vectors":[[]]}`
+	if _, err := Load(strings.NewReader(one + " \t\r\n")); err != nil {
+		t.Fatalf("trailing white space: %v", err)
+	}
+	tails := map[string]string{"second object": one, "trailing byte": " x", "extra brace": "}", "extra number": "\n1"}
+	for name, tail := range tails {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Load(strings.NewReader(one + tail)); err == nil {
+				t.Error("want error, got nil")
 			}
 		})
 	}

@@ -18,6 +18,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -214,20 +215,19 @@ type rulesJSON struct {
 	ResidualStd   []float64   `json:"residual_std,omitempty"`
 }
 
-// Save writes the rule set as JSON to w, so mined rules can be stored and
-// applied later without re-reading the training data.
-func (r *Rules) Save(w io.Writer) error {
+// MarshalJSON encodes the rule set as compact JSON: the document Save
+// writes, without its indentation and final newline. Load reads either.
+func (r *Rules) MarshalJSON() ([]byte, error) {
 	m, k := r.M(), r.K()
 	rows := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		rows[j] = make([]float64, k)
-		for i := 0; i < k; i++ {
-			rows[j][i] = r.v.At(j, i)
-		}
+	cells := []float64{} // each row encodes as [], never null
+	if k > 0 {
+		cells = r.v.RawData()
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rulesJSON{
+	for j := range rows {
+		rows[j] = cells[j*k : (j+1)*k : (j+1)*k]
+	}
+	b, err := json.Marshal(rulesJSON{
 		Attrs:         r.attrs,
 		Means:         r.means,
 		Eigenvalues:   r.eigenvalues,
@@ -235,7 +235,27 @@ func (r *Rules) Save(w io.Writer) error {
 		TrainedRows:   r.trainedRows,
 		Vectors:       rows,
 		ResidualStd:   r.residStd,
-	}); err != nil {
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding rules: %w", err)
+	}
+	return b, nil
+}
+
+// Save writes the rule set as indented JSON to w, so mined rules can be
+// stored and applied later without re-reading the training data.
+func (r *Rules) Save(w io.Writer) error {
+	b, err := r.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	buf.Grow(2 * len(b))
+	if err := json.Indent(&buf, b, "", "  "); err != nil {
+		return fmt.Errorf("core: saving rules: %w", err)
+	}
+	buf.WriteByte('\n')
+	if _, err := buf.WriteTo(w); err != nil {
 		return fmt.Errorf("core: saving rules: %w", err)
 	}
 	return nil
@@ -245,13 +265,21 @@ func (r *Rules) Save(w io.Writer) error {
 // below 1e-13; the closed-form solves assume VᵗV = I.
 const orthoTol = 1e-9
 
-// Load reads a rule set previously written by Save. It fails with
-// ErrBadRules when the vectors are not orthonormal to within orthoTol or
-// the eigenvalues are non-finite, negative or not descending.
+// Load reads a rule set previously written by Save or MarshalJSON; only
+// JSON white space may follow it. It fails with ErrBadRules when the
+// vectors are not orthonormal to within orthoTol or the eigenvalues are
+// non-finite, negative or not descending.
 func Load(rd io.Reader) (*Rules, error) {
 	var j rulesJSON
-	if err := json.NewDecoder(rd).Decode(&j); err != nil {
+	dec := json.NewDecoder(rd)
+	if err := dec.Decode(&j); err != nil {
 		return nil, fmt.Errorf("core: loading rules: %w", err)
+	}
+	if tok, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = fmt.Errorf("unexpected %v", tok)
+		}
+		return nil, fmt.Errorf("core: loading rules: after the rule set: %w", err)
 	}
 	v, err := matrix.FromRows(j.Vectors)
 	if err != nil {

@@ -2,12 +2,15 @@
 // matrices, the "off-the-shelf eigensystem package" step of the Ratio Rules
 // pipeline (Fig. 2(b) of Korn et al., VLDB 1998).
 //
-// Three solvers are provided:
+// Four solvers are provided:
 //
 //   - SymEig: Householder tridiagonalization followed by the implicit-shift
-//     QL iteration (the EISPACK tred2/tql2 pair). This is the miner's full
-//     solve, O(M³) with a small constant, and robust for the covariance
-//     matrices the miner produces.
+//     QL iteration (the EISPACK tred2/tql2 pair). The full solve, O(M³)
+//     with a small constant, and robust for the covariance matrices the
+//     miner produces.
+//   - SymEigLeading: SymEig's eigenvalues bit for bit, but eigenvectors
+//     only for the leading k the caller picks from them, by inverse
+//     iteration on the tridiagonal form; the miner's default.
 //   - Lanczos: only the k leading pairs, for wide data (the paper's
 //     footnote 1); the miner's one leading-pairs option.
 //   - Jacobi: classical cyclic Jacobi rotations. Slower but simple and very
@@ -174,12 +177,7 @@ func jacobiRotate(w, v *matrix.Dense, p, q int) {
 // friendly convention for Ratio Rules). It flips signs in vt in place.
 func sortedSystem(d, vt []float64) *System {
 	n := len(d)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] > d[idx[b]] })
-
+	idx := descending(d)
 	values := make([]float64, n)
 	vectors := matrix.NewDense(n, n)
 	out := vectors.RawData()
@@ -192,6 +190,17 @@ func sortedSystem(d, vt []float64) *System {
 		}
 	}
 	return &System{Values: values, Vectors: vectors}
+}
+
+// descending returns the indices of d ordered by descending value, equal
+// values keeping their order in d.
+func descending(d []float64) []int {
+	idx := make([]int, len(d))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return d[idx[a]] > d[idx[b]] })
+	return idx
 }
 
 // canonicalizeSign flips v so that its largest-magnitude component is
@@ -219,6 +228,46 @@ func canonicalizeSign(v []float64) {
 // and e the sub-diagonal (e[0] = 0). Translated from the EISPACK routine
 // of the same name (0-indexed); z[i*n+j] is element (i, j).
 func tred2(z, d, e []float64) {
+	n := len(d)
+	householder(z, d, e)
+	// Accumulate transformations.
+	for i := 0; i < n-1; i++ {
+		z[(n-1)*n+i] = z[i*n+i]
+		z[i*n+i] = 1
+		l := i + 1
+		if d[l] != 0 {
+			for k := 0; k < l; k++ {
+				d[k] = z[k*n+l] / d[l]
+			}
+			for j := 0; j < l; j++ {
+				var g float64
+				for k := 0; k < l; k++ {
+					g += z[k*n+l] * z[k*n+j]
+				}
+				for k := 0; k < l; k++ {
+					z[k*n+j] -= g * d[k]
+				}
+			}
+		}
+		for k := 0; k < l; k++ {
+			z[k*n+l] = 0
+		}
+	}
+	for i := 0; i < n; i++ {
+		d[i] = z[(n-1)*n+i]
+		z[(n-1)*n+i] = 0
+	}
+	z[(n-1)*n+n-1] = 1
+	e[0] = 0
+}
+
+// householder is tred2's reduction without the accumulation. On return
+// z[i*n+i] holds diagonal element i of the tridiagonal form, e[i] its
+// sub-diagonal element (i, i-1) for i ≥ 1, and the reflector
+// P_i = I − u·uᵗ/d[i] that step i applied is kept in place: u is
+// z[0..i-1] of column i, and d[i] = 0 marks a step that reflected
+// nothing. The similarity is A = Q·T·Qᵗ with Q = P_{n-1}⋯P_2·P_1.
+func householder(z, d, e []float64) {
 	n := len(d)
 	for i := 0; i < n; i++ {
 		d[i] = z[(n-1)*n+i]
@@ -291,35 +340,6 @@ func tred2(z, d, e []float64) {
 		}
 		d[i] = h
 	}
-	// Accumulate transformations.
-	for i := 0; i < n-1; i++ {
-		z[(n-1)*n+i] = z[i*n+i]
-		z[i*n+i] = 1
-		l := i + 1
-		if d[l] != 0 {
-			for k := 0; k < l; k++ {
-				d[k] = z[k*n+l] / d[l]
-			}
-			for j := 0; j < l; j++ {
-				var g float64
-				for k := 0; k < l; k++ {
-					g += z[k*n+l] * z[k*n+j]
-				}
-				for k := 0; k < l; k++ {
-					z[k*n+j] -= g * d[k]
-				}
-			}
-		}
-		for k := 0; k < l; k++ {
-			z[k*n+l] = 0
-		}
-	}
-	for i := 0; i < n; i++ {
-		d[i] = z[(n-1)*n+i]
-		z[(n-1)*n+i] = 0
-	}
-	z[(n-1)*n+n-1] = 1
-	e[0] = 0
 }
 
 // transpose transposes the n×n row-major matrix z in place.
@@ -337,10 +357,16 @@ func transpose(z []float64, n int) {
 // accumulated in zt. Translated from the EISPACK routine of the same name,
 // except that zt holds the transformation transposed (n×n row-major,
 // n = len(d)): each rotation then updates two contiguous rows, and on
-// return row i of zt is the unit eigenvector for d[i].
+// return row i of zt is the unit eigenvector for d[i]. A nil zt skips
+// the rotations and leaves d and e exactly as with them: the eigenvalues
+// alone.
+//
+// An eigenvalue never leaves the block of T it starts in: between two
+// indices that splitBlocks separates, no sweep runs, and on return d[i]
+// is an eigenvalue of the block holding index i.
 func tql2(zt, d, e []float64) error {
 	n := len(d)
-	if n == 1 {
+	if n <= 1 {
 		return nil
 	}
 	for i := 1; i < n; i++ {
@@ -354,11 +380,7 @@ func tql2(zt, d, e []float64) error {
 			// Find a small sub-diagonal element to split the matrix.
 			m := l
 			for ; m < n-1; m++ {
-				dd := math.Abs(d[m]) + math.Abs(d[m+1])
-				// The absolute floor handles spectra whose tail underflows
-				// toward zero (dd ≈ 0 with a denormal e[m]), where a purely
-				// relative test can never be met.
-				if math.Abs(e[m]) <= machEps*dd+1e-300 {
+				if negligible(e[m], d[m], d[m+1]) {
 					break
 				}
 			}
@@ -396,13 +418,15 @@ func tql2(zt, d, e []float64) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				// Accumulate the rotation into rows i and i+1.
-				zi := zt[i*n : (i+1)*n]
-				zj := zt[(i+1)*n : (i+2)*n]
-				for k, zik := range zi {
-					f = zj[k]
-					zj[k] = s*zik + c*f
-					zi[k] = c*zik - s*f
+				if zt != nil {
+					// Accumulate the rotation into rows i and i+1.
+					zi := zt[i*n : (i+1)*n]
+					zj := zt[(i+1)*n : (i+2)*n]
+					for k, zik := range zi {
+						f = zj[k]
+						zj[k] = s*zik + c*f
+						zi[k] = c*zik - s*f
+					}
 				}
 			}
 			// Only a split above skips the closing update. A full sweep
@@ -417,6 +441,15 @@ func tql2(zt, d, e []float64) error {
 		}
 	}
 	return nil
+}
+
+// negligible reports whether tql2 splits the tridiagonal matrix at the
+// off-diagonal element e between diagonal elements d0 and d1. The
+// absolute floor handles spectra whose tail underflows toward zero
+// (d0, d1 ≈ 0 with a denormal e), where a purely relative test can never
+// be met.
+func negligible(e, d0, d1 float64) bool {
+	return math.Abs(e) <= machEps*(math.Abs(d0)+math.Abs(d1))+1e-300
 }
 
 const machEps = 2.220446049250313e-16

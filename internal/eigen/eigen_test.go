@@ -12,13 +12,21 @@ import (
 	"ratiorules/internal/stats"
 )
 
-// solvers lets every test run against both implementations.
+// solvers lets every test run against each implementation.
+// SymEigLeading runs twice: keeping every vector, and keeping the
+// leading half (k < n from n = 2 up).
 var solvers = []struct {
 	name string
 	fn   func(*matrix.Dense) (*System, error)
 }{
 	{"SymEig", SymEig},
 	{"Jacobi", Jacobi},
+	{"SymEigLeadingAll", func(a *matrix.Dense) (*System, error) {
+		return SymEigLeading(a, func(values []float64) int { return len(values) })
+	}},
+	{"SymEigLeadingHalf", func(a *matrix.Dense) (*System, error) {
+		return SymEigLeading(a, func(values []float64) int { return (len(values) + 1) / 2 })
+	}},
 }
 
 func TestDiagonalMatrix(t *testing.T) {
@@ -244,14 +252,14 @@ func TestDecompositionProperty(t *testing.T) {
 					return false
 				}
 				tol := 1e-8 * (1 + a.MaxAbs())
-				// Reconstruction A == V·diag(λ)·Vᵗ.
-				recon := matrix.MustMul(matrix.MustMul(sys.Vectors, matrix.Diagonal(sys.Values)), sys.Vectors.T())
-				if !matrix.EqualApprox(a, recon, tol) {
+				// Reconstruction A == V·diag(λ)·Vᵗ, or A·V = V·diag(λ)
+				// for the kept vectors.
+				if lhs, rhs := decomposition(a, sys); !matrix.EqualApprox(lhs, rhs, tol) {
 					return false
 				}
 				// Orthonormality.
 				gram := matrix.MustMul(sys.Vectors.T(), sys.Vectors)
-				if !matrix.EqualApprox(gram, matrix.Identity(n), 1e-9) {
+				if !matrix.EqualApprox(gram, matrix.Identity(sys.Vectors.Cols()), 1e-9) {
 					return false
 				}
 				// Trace preservation.
@@ -278,8 +286,7 @@ func TestSignCanonicalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(sys.Values)
-		for j := 0; j < n; j++ {
+		for j := 0; j < sys.Vectors.Cols(); j++ {
 			col := sys.Vectors.Col(j)
 			var mx float64
 			var arg int
@@ -311,11 +318,22 @@ func TestLargeMatrixConverges(t *testing.T) {
 func assertDecomposition(t *testing.T, a *matrix.Dense, sys *System, tol float64) {
 	t.Helper()
 	n, _ := a.Dims()
-	recon := matrix.MustMul(matrix.MustMul(sys.Vectors, matrix.Diagonal(sys.Values)), sys.Vectors.T())
-	if !matrix.EqualApprox(a, recon, tol*(1+a.MaxAbs())) {
-		t.Errorf("V·diag(λ)·Vᵗ does not reconstruct A (n=%d)", n)
+	if lhs, rhs := decomposition(a, sys); !matrix.EqualApprox(lhs, rhs, tol*(1+a.MaxAbs())) {
+		t.Errorf("V·diag(λ)·Vᵗ does not reconstruct A (n=%d, %d vectors)", n, sys.Vectors.Cols())
 	}
 	assertOrthonormal(t, sys.Vectors, tol)
+}
+
+// decomposition returns the two sides of the identity sys must satisfy:
+// A and V·diag(λ)·Vᵗ when sys holds every vector, else A·V and V·diag(λ)
+// over the k kept ones.
+func decomposition(a *matrix.Dense, sys *System) (lhs, rhs *matrix.Dense) {
+	k := sys.Vectors.Cols()
+	vl := matrix.MustMul(sys.Vectors, matrix.Diagonal(sys.Values[:k]))
+	if k == a.Rows() {
+		return a, matrix.MustMul(vl, sys.Vectors.T())
+	}
+	return matrix.MustMul(a, sys.Vectors), vl
 }
 
 func assertOrthonormal(t *testing.T, v *matrix.Dense, tol float64) {

@@ -2,6 +2,7 @@ package eigen
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,7 +41,8 @@ func fuzzMatrix(data []byte) *matrix.Dense {
 // panics, and unless it reports ErrNoConvergence it returns descending
 // eigenvalues with orthonormal eigenvectors that satisfy A·V = V·Λ to
 // round-off relative to ‖A‖, and eigenvalues that match Jacobi's whenever
-// Jacobi converges.
+// Jacobi converges. SymEigLeading, for every k from 0 to n, returns
+// SymEig's eigenvalues bit for bit and k vectors held to the same bounds.
 func FuzzSymEig(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0})                                // 1×1 [1]
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0})                    // [[2,1],[1,2]]
@@ -73,19 +75,21 @@ func FuzzSymEig(f *testing.F) {
 
 		// Backward-stable solvers are accurate relative to ‖A‖; n ≤ 16
 		// keeps the round-off near 16ε, far below these bounds.
-		normA := a.FrobeniusNorm()
-		gram := matrix.MustMul(sys.Vectors.T(), sys.Vectors)
-		if !matrix.EqualApprox(gram, matrix.Identity(n), 1e-12) {
-			t.Fatalf("VᵗV ≠ I for n=%d", n)
-		}
-		av := matrix.MustMul(a, sys.Vectors)
-		vl := matrix.MustMul(sys.Vectors, matrix.Diagonal(sys.Values))
-		resid, err := matrix.Sub(av, vl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := resid.FrobeniusNorm(); r > 1e-12*normA {
-			t.Fatalf("‖AV − VΛ‖ = %g > 1e-12·‖A‖ = %g (n=%d)", r, 1e-12*normA, n)
+		checkPairs(t, "SymEig", a, sys)
+		for k := 0; k <= n; k++ {
+			lead, err := SymEigLeading(a, func([]float64) int { return k })
+			if err != nil {
+				t.Fatalf("SymEigLeading(%d×%d, k=%d): %v", n, n, k, err)
+			}
+			for i, v := range sys.Values {
+				if math.Float64bits(lead.Values[i]) != math.Float64bits(v) {
+					t.Fatalf("k=%d: value %d = %v, SymEig %v", k, i, lead.Values[i], v)
+				}
+			}
+			if lead.Vectors.Rows() != n || lead.Vectors.Cols() != k {
+				t.Fatalf("k=%d: %d×%d vectors for n=%d", k, lead.Vectors.Rows(), lead.Vectors.Cols(), n)
+			}
+			checkPairs(t, fmt.Sprintf("SymEigLeading k=%d", k), a, lead)
 		}
 
 		// Jacobi stops once its off-diagonal mass is below
@@ -95,7 +99,7 @@ func FuzzSymEig(f *testing.F) {
 		if err != nil {
 			return
 		}
-		tol := 1e-12*normA + 1e-13*(1+a.MaxAbs())
+		tol := 1e-12*a.FrobeniusNorm() + 1e-13*(1+a.MaxAbs())
 		for i := range js.Values {
 			if d := math.Abs(js.Values[i] - sys.Values[i]); d > tol {
 				t.Fatalf("value %d: SymEig %v, Jacobi %v (|Δ| = %g > %g)",
@@ -103,4 +107,25 @@ func FuzzSymEig(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPairs holds the eigenvectors in sys, one per leading eigenvalue,
+// to FuzzSymEig's bounds: VᵗV = I to 1e-12 and ‖AV − VΛ‖ ≤ 1e-12·‖A‖.
+func checkPairs(t *testing.T, solver string, a *matrix.Dense, sys *System) {
+	t.Helper()
+	n, k := a.Rows(), sys.Vectors.Cols()
+	normA := a.FrobeniusNorm()
+	gram := matrix.MustMul(sys.Vectors.T(), sys.Vectors)
+	if !matrix.EqualApprox(gram, matrix.Identity(k), 1e-12) {
+		t.Fatalf("%s: VᵗV ≠ I for n=%d", solver, n)
+	}
+	av := matrix.MustMul(a, sys.Vectors)
+	vl := matrix.MustMul(sys.Vectors, matrix.Diagonal(sys.Values[:k]))
+	resid, err := matrix.Sub(av, vl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := resid.FrobeniusNorm(); r > 1e-12*normA {
+		t.Fatalf("%s: ‖AV − VΛ‖ = %g > 1e-12·‖A‖ = %g (n=%d)", solver, r, 1e-12*normA, n)
+	}
 }

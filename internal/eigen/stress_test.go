@@ -106,19 +106,23 @@ func TestGradedSpectrum(t *testing.T) {
 			a.Set(i+1, i, c)
 		}
 	}
-	sys, err := SymEig(a)
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			sys, err := s.fn(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(sys.Values[0]-1) > 1e-5 {
+				t.Errorf("top eigenvalue = %v, want ≈ 1", sys.Values[0])
+			}
+			for i := 1; i < n; i++ {
+				if sys.Values[i] > sys.Values[i-1] {
+					t.Fatalf("values not descending on graded spectrum")
+				}
+			}
+			assertOrthonormal(t, sys.Vectors, 1e-9)
+		})
 	}
-	if math.Abs(sys.Values[0]-1) > 1e-5 {
-		t.Errorf("top eigenvalue = %v, want ≈ 1", sys.Values[0])
-	}
-	for i := 1; i < n; i++ {
-		if sys.Values[i] > sys.Values[i-1] {
-			t.Fatalf("values not descending on graded spectrum")
-		}
-	}
-	assertOrthonormal(t, sys.Vectors, 1e-9)
 }
 
 func TestLargeConstantMatrix(t *testing.T) {
@@ -130,19 +134,43 @@ func TestLargeConstantMatrix(t *testing.T) {
 			a.Set(i, j, 1)
 		}
 	}
-	sys, err := SymEig(a)
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			sys, err := s.fn(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(sys.Values[0]-float64(n)) > 1e-9*float64(n) {
+				t.Errorf("top eigenvalue = %v, want %d", sys.Values[0], n)
+			}
+			for _, l := range sys.Values[1:] {
+				if math.Abs(l) > 1e-9*float64(n) {
+					t.Errorf("null eigenvalue = %v", l)
+				}
+			}
+			assertOrthonormal(t, sys.Vectors, 1e-8)
+		})
 	}
-	if math.Abs(sys.Values[0]-float64(n)) > 1e-9*float64(n) {
-		t.Errorf("top eigenvalue = %v, want %d", sys.Values[0], n)
+}
+
+func TestZeroMatrix(t *testing.T) {
+	// Every eigenvalue 0 and every off-diagonal negligible: the solvers
+	// still owe an orthonormal basis.
+	a := matrix.NewDense(6, 6)
+	for _, s := range solvers {
+		t.Run(s.name, func(t *testing.T) {
+			sys, err := s.fn(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range sys.Values {
+				if l != 0 {
+					t.Errorf("eigenvalue %v of the zero matrix", l)
+				}
+			}
+			assertDecomposition(t, a, sys, 1e-12)
+		})
 	}
-	for _, l := range sys.Values[1:] {
-		if math.Abs(l) > 1e-9*float64(n) {
-			t.Errorf("null eigenvalue = %v", l)
-		}
-	}
-	assertOrthonormal(t, sys.Vectors, 1e-8)
 }
 
 // TestQLSweepEndingOnZero: a QL sweep that runs to completion with its

@@ -748,13 +748,24 @@ func (m *Manager) geGate(ctx context.Context, name string, candidate *core.Rules
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: building holdout for %q: %w", name, err)
 	}
+	// Score both models at once; the two passes only read the holdout.
+	var (
+		servedGE  float64
+		servedErr error
+		wg        sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		servedGE, servedErr = core.GE1(served, test)
+	}()
 	candGE, err := core.GE1(candidate, test)
+	wg.Wait()
 	if err != nil {
 		return RepublishResult{}, fmt.Errorf("online: candidate GE for %q: %w", name, err)
 	}
-	servedGE, err := core.GE1(served, test)
-	if err != nil {
-		return RepublishResult{}, fmt.Errorf("online: served GE for %q: %w", name, err)
+	if servedErr != nil {
+		return RepublishResult{}, fmt.Errorf("online: served GE for %q: %w", name, servedErr)
 	}
 	m.met.ge.With("candidate").Set(candGE)
 	m.met.ge.With("served").Set(servedGE)

@@ -123,6 +123,9 @@ func TestV1Contract(t *testing.T) {
 		{label: "put non-orthonormal model", method: "PUT", path: "/v1/rules/m",
 			body:       `{"means":[0,0,0],"eigenvalues":[1],"total_variance":1,"trained_rows":10,"vectors":[[0.5],[0.5],[0.5]]}`,
 			wantStatus: 400, wantCode: CodeBadRequest},
+		{label: "put two concatenated models", method: "PUT", path: "/v1/rules/twice",
+			body:       strings.Repeat(`{"means":[0,0],"eigenvalues":[1],"total_variance":1,"trained_rows":10,"vectors":[[1],[0]]}`, 2),
+			wantStatus: 400, wantCode: CodeBadRequest},
 		{label: "delete absent", method: "DELETE", path: "/v1/rules/absent",
 			wantStatus: 404, wantCode: CodeNotFound},
 

@@ -46,7 +46,6 @@
 package store
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -295,18 +294,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 // everywhere (WAL events, snapshots, Revision.Raw). Compact form matters:
 // json.Marshal re-compacts embedded json.RawMessage values, so only a
 // compact canonical form survives the journal and snapshot round trips
-// byte-for-byte.
-func encodeRules(r *core.Rules) ([]byte, error) {
-	var indented bytes.Buffer
-	if err := r.Save(&indented); err != nil {
-		return nil, err
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, indented.Bytes()); err != nil {
-		return nil, fmt.Errorf("store: canonicalizing rules: %w", err)
-	}
-	return compact.Bytes(), nil
-}
+// byte-for-byte. It calls MarshalJSON itself: json.Marshal of the rules
+// would compact its output a second time.
+func encodeRules(r *core.Rules) ([]byte, error) { return r.MarshalJSON() }
 
 // apply folds a checked event into the in-memory state: a put installs
 // its rules as revision ev.Version, a delete drops the name's history.

@@ -55,8 +55,8 @@ func Scatter(title, xLabel, yLabel string, points []Point, width, height int) st
 		density[r] = make([]int, width)
 	}
 	place := func(p Point) (row, col int) {
-		col = int(float64(width-1) * (p.X - minX) / (maxX - minX))
-		row = height - 1 - int(float64(height-1)*(p.Y-minY)/(maxY-minY))
+		col = int(float64(width-1) * ((p.X - minX) / (maxX - minX)))
+		row = height - 1 - int(float64(height-1)*((p.Y-minY)/(maxY-minY)))
 		return row, col
 	}
 	// Density first, then labels on top.

@@ -27,6 +27,26 @@ func TestScatterBasics(t *testing.T) {
 	}
 }
 
+// TestScatterExtremesOnEdgeRows: the points that set the range sit on
+// the grid's edge rows. With these bounds, 21·(max−min)/(max−min)
+// rounds to 20.999999999999996, which put the maximum one row low when
+// the plot multiplied before dividing.
+func TestScatterExtremesOnEdgeRows(t *testing.T) {
+	out := Scatter("t", "x", "y", []Point{
+		{X: 0, Y: -1399.2979398336965, Label: "Low"},
+		{X: 1, Y: 2086.1709966123462, Label: "High"},
+	}, 70, 22)
+	var grid []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasPrefix(l, "|") {
+			grid = append(grid, l)
+		}
+	}
+	if len(grid) != 22 || !strings.Contains(grid[0], "H") || !strings.Contains(grid[21], "L") {
+		t.Errorf("extremes not on the edge rows:\n%s", out)
+	}
+}
+
 func TestScatterEmpty(t *testing.T) {
 	out := Scatter("t", "x", "y", nil, 20, 10)
 	if !strings.Contains(out, "no points") {

@@ -176,7 +176,8 @@ func GECurve(est Estimator, test *Matrix, maxHoles int, cfg GEhConfig) ([]float6
 	return core.GECurve(est, test, maxHoles, cfg)
 }
 
-// LoadRules reads a rule set previously written with Rules.Save.
+// LoadRules reads a rule set previously written with Rules.Save or
+// Rules.MarshalJSON; only JSON white space may follow it.
 func LoadRules(r io.Reader) (*Rules, error) { return core.Load(r) }
 
 // NewMatrix returns a zeroed rows×cols matrix.
