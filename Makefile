@@ -42,20 +42,19 @@ lint:
 # packages whose tests are timing-sensitive: store recovery on fresh temp
 # dirs, online republish scheduling and the GE alert path, the alert
 # engine's state machines, cluster fan-out teardown, replica
-# reconnect/stall, fleet scrape fan-out and profile-ring eviction,
-# admission's bounded waits and reloads, and the server's NDJSON
-# streams, whose flush points depend on timing between the body reader,
-# the worker pool and the response writer. Last, it vets and tests the
-# perfbench module: perfbench is a nested module, so the root ./...
-# never compiles it, and a deleted API it calls would otherwise surface
-# only when the benchmark runs. (Lint is a separate CI step — it may
-# need the network to fetch staticcheck.)
+# reconnect/stall, fleet scrape fan-out, admission's bounded waits and
+# reloads, and the server's NDJSON streams, whose flush points depend on
+# timing between the body reader, the worker pool and the response
+# writer. Last, it vets and tests the perfbench module: perfbench is a
+# nested module, so the root ./... never compiles it, and a deleted API
+# it calls would otherwise surface only when the benchmark runs. (Lint
+# is a separate CI step — it may need the network to fetch staticcheck.)
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/store ./internal/online ./internal/obs/alert \
-		./internal/cluster ./internal/replica ./internal/obs/fleet ./internal/obs/profile \
+		./internal/cluster ./internal/replica ./internal/obs/fleet \
 		./internal/admission ./internal/server
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

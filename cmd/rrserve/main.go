@@ -37,8 +37,9 @@
 //	-trace-slow      always-on slow-trace log threshold (default 1s);
 //	                 0 disables the log line, not the tracing
 //	-debug-addr      optional side listener serving net/http/pprof under
-//	                 /debug/pprof/ — keep it on localhost or a private
-//	                 network, never the public service address
+//	                 /debug/pprof/, the server's one profiling path —
+//	                 keep it on localhost or a private network, never
+//	                 the public service address
 //	-republish-rows  ingested rows between re-mines of a live stream
 //	                 (default 256; see docs/online.md)
 //	-republish-every interval re-mine of dirty live streams (default 0,
@@ -86,11 +87,6 @@
 //	                 event also leaves the log when -max-versions prunes
 //	                 the revision it carried. Followers further behind
 //	                 bootstrap from a snapshot frame instead
-//	-profile-every   continuous-profiling capture cadence (default 1m;
-//	                 0 disables the loop — /debug/profiles then lists
-//	                 an empty ring)
-//	-profile-cpu     CPU capture window per cycle (default 50ms; 0
-//	                 keeps only heap/goroutine snapshots)
 //	-fleet-members   comma-separated [name=]url member list; non-empty
 //	                 (or coordinator mode, which feeds live cluster
 //	                 membership automatically) starts the fleet
@@ -152,7 +148,6 @@ import (
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/alert"
 	"ratiorules/internal/obs/fleet"
-	"ratiorules/internal/obs/profile"
 	"ratiorules/internal/obs/trace"
 	"ratiorules/internal/online"
 	"ratiorules/internal/replica"
@@ -221,9 +216,6 @@ func run(ctx context.Context, args []string) error {
 		follow         = fs.String("follow", "", "leader base URL; non-empty runs this server as a read-only follower replica")
 		maxReplicaLag  = fs.Duration("max-replica-lag", server.DefaultMaxReplicaLag, "replication staleness beyond which a follower's /readyz answers 503")
 		replicationLog = fs.Int("replication-log", store.DefaultReplicationLog, "upper bound on committed events retained in memory for follower catch-up; an event also leaves when -max-versions prunes its revision")
-
-		profileEvery = fs.Duration("profile-every", time.Minute, "continuous-profiling capture cadence (0 disables the capture loop)")
-		profileCPU   = fs.Duration("profile-cpu", 50*time.Millisecond, "CPU capture window per profiling cycle (0 keeps only snapshots)")
 
 		fleetMembers = fs.String("fleet-members", "", "comma-separated [name=]url fleet member list; non-empty starts the fleet collector")
 		fleetEvery   = fs.Duration("fleet-every", fleet.DefaultInterval, "fleet scrape interval")
@@ -406,26 +398,6 @@ func run(ctx context.Context, args []string) error {
 		}()
 		logger.Info("following leader", "leader", *follow, "max_lag", *maxReplicaLag)
 		handlerOpts = append(handlerOpts, server.WithFollower(fol, *follow, *maxReplicaLag))
-	}
-
-	// Continuous profiling: an always-on ring of short CPU captures and
-	// heap/goroutine snapshots served at /debug/profiles. -profile-every 0
-	// leaves the default passive ring in place (empty listing).
-	if *profileEvery > 0 {
-		cpu := *profileCPU
-		if cpu <= 0 {
-			cpu = -1 // profile.New: negative disables CPU captures, 0 means default
-		}
-		ring := profile.New(profile.Config{
-			Interval:    *profileEvery,
-			CPUDuration: cpu,
-			Logger:      logger,
-			Metrics:     obs.Default(),
-		})
-		go ring.Run(ctx)
-		logger.Info("continuous profiling on",
-			"every", ring.Interval(), "cpu", ring.CPUDuration())
-		handlerOpts = append(handlerOpts, server.WithProfiles(ring))
 	}
 
 	// Fleet collector: static -fleet-members plus, in coordinator mode,

@@ -77,6 +77,7 @@ func TestV1Contract(t *testing.T) {
 		wantStatus  int
 		wantCode    string // "" = success body, no envelope
 		wantAllow   string
+		everyRole   bool // also checked on a follower and a coordinator
 	}{
 		{label: "health", method: "GET", path: "/healthz", wantStatus: 200},
 		{label: "ready", method: "GET", path: "/readyz", wantStatus: 200},
@@ -85,11 +86,12 @@ func TestV1Contract(t *testing.T) {
 		{label: "debug traces", method: "GET", path: "/debug/traces", wantStatus: 200},
 		{label: "debug trace absent", method: "GET", path: "/debug/traces/deadbeef",
 			wantStatus: 404, wantCode: CodeNotFound},
-		{label: "debug profiles", method: "GET", path: "/debug/profiles", wantStatus: 200},
-		{label: "debug profile bad id", method: "GET", path: "/debug/profiles/abc",
-			wantStatus: 400, wantCode: CodeBadRequest},
-		{label: "debug profile absent", method: "GET", path: "/debug/profiles/999",
-			wantStatus: 404, wantCode: CodeNotFound},
+		// The retired profiling ring's paths are outside the route table
+		// on every role: profiling is pprof on rrserve's -debug-addr only.
+		{label: "retired debug profiles", method: "GET", path: "/debug/profiles",
+			wantStatus: 404, wantCode: CodeNotFound, everyRole: true},
+		{label: "retired debug profile", method: "GET", path: "/debug/profiles/1",
+			wantStatus: 404, wantCode: CodeNotFound, everyRole: true},
 		// No fleet collector configured on this node: the routes exist
 		// (not 404-by-absence — wrong methods still draw 405 below) but
 		// answer not_found with an explanatory envelope.
@@ -216,31 +218,42 @@ func TestV1Contract(t *testing.T) {
 			wantStatus: 405, wantCode: CodeMethodNotAllowed, wantAllow: "GET"},
 		{label: "405 metrics fleet", method: "POST", path: "/metrics/fleet",
 			wantStatus: 405, wantCode: CodeMethodNotAllowed, wantAllow: "GET"},
-		{label: "405 debug profiles", method: "DELETE", path: "/debug/profiles",
-			wantStatus: 405, wantCode: CodeMethodNotAllowed, wantAllow: "GET"},
 		{label: "405 debug fleet", method: "POST", path: "/debug/fleet",
 			wantStatus: 405, wantCode: CodeMethodNotAllowed, wantAllow: "GET"},
 	}
 
+	_, follower, _ := newFollowerPair(t)
+	coordinator := newClusterTestServer(t, 1).ts
 	for _, tc := range cases {
-		resp := doRaw(t, tc.method, ts.URL+tc.path, tc.contentType, tc.body)
-		if resp.StatusCode != tc.wantStatus {
-			body, _ := io.ReadAll(resp.Body)
+		servers := map[string]string{"leader": ts.URL}
+		if tc.everyRole {
+			servers["follower"] = follower.URL
+			servers["coordinator"] = coordinator.URL
+		}
+		for role, base := range servers {
+			label := tc.label
+			if role != "leader" {
+				label += " on a " + role
+			}
+			resp := doRaw(t, tc.method, base+tc.path, tc.contentType, tc.body)
+			if resp.StatusCode != tc.wantStatus {
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				t.Errorf("%s: status %d, want %d (body %s)", label, resp.StatusCode, tc.wantStatus, body)
+				continue
+			}
+			if tc.wantAllow != "" {
+				if got := resp.Header.Get("Allow"); got != tc.wantAllow {
+					t.Errorf("%s: Allow %q, want %q", label, got, tc.wantAllow)
+				}
+			}
+			if tc.wantCode != "" {
+				if got := decodeEnvelope(t, label, resp.Body); got != tc.wantCode {
+					t.Errorf("%s: envelope code %q, want %q", label, got, tc.wantCode)
+				}
+			}
 			resp.Body.Close()
-			t.Errorf("%s: status %d, want %d (body %s)", tc.label, resp.StatusCode, tc.wantStatus, body)
-			continue
 		}
-		if tc.wantAllow != "" {
-			if got := resp.Header.Get("Allow"); got != tc.wantAllow {
-				t.Errorf("%s: Allow %q, want %q", tc.label, got, tc.wantAllow)
-			}
-		}
-		if tc.wantCode != "" {
-			if got := decodeEnvelope(t, tc.label, resp.Body); got != tc.wantCode {
-				t.Errorf("%s: envelope code %q, want %q", tc.label, got, tc.wantCode)
-			}
-		}
-		resp.Body.Close()
 	}
 }
 

@@ -1,10 +1,11 @@
 package server
 
-// Debug and fleet surfaces: the trace flight recorder (/debug/traces),
-// the continuous-profiling ring (/debug/profiles), and the federated
-// fleet views (/metrics/fleet, /debug/fleet). All of them mount from
-// the route table (routes.go) untraced — scraping the scraper would
-// flush real traffic out of the flight recorder.
+// Debug and fleet surfaces: the trace flight recorder (/debug/traces)
+// and the federated fleet views (/metrics/fleet, /debug/fleet). All of
+// them mount from the route table (routes.go) untraced — scraping the
+// scraper would flush real traffic out of the flight recorder. No
+// profiling route lives here: pprof is served only by rrserve's
+// -debug-addr side listener, off the public API address.
 
 import (
 	"bytes"
@@ -16,7 +17,6 @@ import (
 
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/fleet"
-	"ratiorules/internal/obs/profile"
 	"ratiorules/internal/obs/trace"
 )
 
@@ -166,51 +166,4 @@ func (s *service) debugFleet(w http.ResponseWriter, _ *http.Request) {
 		IntervalSeconds: s.fleet.Interval().Seconds(),
 		Nodes:           nodes,
 	})
-}
-
-// profilesResponse is the GET /debug/profiles body: ring occupancy, the
-// knobs in effect, and the retained captures oldest first.
-type profilesResponse struct {
-	Retained           int             `json:"retained"`
-	TotalBytes         int64           `json:"total_bytes"`
-	IntervalSeconds    float64         `json:"interval_seconds"`
-	CPUDurationSeconds float64         `json:"cpu_duration_seconds"`
-	Profiles           []profile.Entry `json:"profiles"`
-}
-
-// debugProfiles lists the continuous-profiling ring.
-func (s *service) debugProfiles(w http.ResponseWriter, _ *http.Request) {
-	entries := s.profiles.List()
-	if entries == nil {
-		entries = []profile.Entry{}
-	}
-	writeJSON(w, http.StatusOK, profilesResponse{
-		Retained:           len(entries),
-		TotalBytes:         s.profiles.TotalBytes(),
-		IntervalSeconds:    s.profiles.Interval().Seconds(),
-		CPUDurationSeconds: s.profiles.CPUDuration().Seconds(),
-		Profiles:           entries,
-	})
-}
-
-// debugProfile serves one retained capture's pprof blob, ready for
-// `go tool pprof <url>` or a saved-file workflow.
-func (s *service) debugProfile(w http.ResponseWriter, req *http.Request) {
-	raw := req.PathValue("id")
-	id, err := strconv.Atoi(raw)
-	if err != nil || id <= 0 {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("invalid profile id %q: want a positive integer", raw))
-		return
-	}
-	e, blob, ok := s.profiles.Get(id)
-	if !ok {
-		writeErr(w, http.StatusNotFound, CodeNotFound,
-			fmt.Errorf("profile %d not retained (evicted or never captured)", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition",
-		fmt.Sprintf("attachment; filename=%q", fmt.Sprintf("%s-%d.pprof", e.Kind, e.ID)))
-	_, _ = w.Write(blob)
 }

@@ -11,7 +11,6 @@ import (
 	"ratiorules/internal/cluster"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/fleet"
-	"ratiorules/internal/obs/profile"
 	"ratiorules/internal/obs/trace"
 	"ratiorules/internal/online"
 	"ratiorules/internal/replica"
@@ -27,7 +26,6 @@ type handlerConfig struct {
 	online        *online.Manager
 	cluster       *cluster.Coordinator
 	fleet         *fleet.Collector
-	profiles      *profile.Ring
 	follower      *replica.Follower
 	leaderURL     string
 	maxReplicaLag time.Duration
@@ -103,15 +101,6 @@ func WithCluster(c *cluster.Coordinator) HandlerOption {
 // routes answer 404 not_found.
 func WithFleet(c *fleet.Collector) HandlerOption {
 	return func(cfg *handlerConfig) { cfg.fleet = c }
-}
-
-// WithProfiles serves the continuous-profiling ring at GET
-// /debug/profiles[/{id}]. The caller owns the ring's Run lifecycle
-// (rrserve wires -profile-every and -profile-cpu through it). Without
-// this option Handler builds a passive ring, so the routes always
-// answer — just with an empty listing.
-func WithProfiles(r *profile.Ring) HandlerOption {
-	return func(cfg *handlerConfig) { cfg.profiles = r }
 }
 
 // WithAdmission puts the API surface behind the given admission

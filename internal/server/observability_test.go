@@ -1,7 +1,7 @@
 package server
 
-// Integration coverage for the fleet and profiling surface when it IS
-// configured (the contract test pins the unconfigured 404s).
+// Integration coverage for the fleet surface when it IS configured
+// (the contract test pins the unconfigured 404s).
 
 import (
 	"context"
@@ -9,14 +9,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/fleet"
-	"ratiorules/internal/obs/profile"
 )
 
 func TestFleetRoutesConfigured(t *testing.T) {
@@ -86,48 +84,6 @@ func TestFleetRoutesConfigured(t *testing.T) {
 	}
 	if len(rollup.Nodes) != 1 || rollup.Nodes[0].Name != "w1" || !rollup.Nodes[0].Healthy {
 		t.Errorf("/debug/fleet nodes = %+v, want healthy w1", rollup.Nodes)
-	}
-}
-
-func TestProfileRoutesConfigured(t *testing.T) {
-	ring := profile.New(profile.Config{Logger: obs.NopLogger()})
-	ring.CaptureSnapshots()
-
-	ts := httptest.NewServer(Handler(NewRegistry(), WithProfiles(ring)))
-	t.Cleanup(ts.Close)
-
-	resp := doRaw(t, "GET", ts.URL+"/debug/profiles", "", "")
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/profiles status %d", resp.StatusCode)
-	}
-	var listing struct {
-		Retained   int `json:"retained"`
-		TotalBytes int `json:"total_bytes"`
-		Profiles   []struct {
-			ID   int    `json:"id"`
-			Kind string `json:"kind"`
-		} `json:"profiles"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
-		t.Fatal(err)
-	}
-	if listing.Retained != 2 || len(listing.Profiles) != 2 || listing.TotalBytes <= 0 {
-		t.Fatalf("/debug/profiles listing = %+v, want heap+goroutine", listing)
-	}
-
-	id := listing.Profiles[0].ID
-	blob := doRaw(t, "GET", ts.URL+"/debug/profiles/"+strconv.Itoa(id), "", "")
-	data, _ := io.ReadAll(blob.Body)
-	blob.Body.Close()
-	if blob.StatusCode != http.StatusOK || len(data) == 0 {
-		t.Fatalf("profile blob fetch: status %d, %d bytes", blob.StatusCode, len(data))
-	}
-	if ct := blob.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Errorf("profile blob Content-Type %q", ct)
-	}
-	if cd := blob.Header.Get("Content-Disposition"); !strings.Contains(cd, listing.Profiles[0].Kind) {
-		t.Errorf("Content-Disposition %q, want kind %q in filename", cd, listing.Profiles[0].Kind)
 	}
 }
 

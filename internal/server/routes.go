@@ -125,8 +125,6 @@ var v1Routes = []route{
 	{method: "GET", path: "/debug/alerts", roles: rolesAll, untraced: true, handler: (*service).debugAlerts},
 	{method: "GET", path: "/debug/admission", roles: rolesAll, untraced: true, handler: (*service).debugAdmission},
 	{method: "GET", path: "/debug/fleet", roles: rolesAll, untraced: true, handler: (*service).debugFleet},
-	{method: "GET", path: "/debug/profiles", roles: rolesAll, untraced: true, handler: (*service).debugProfiles},
-	{method: "GET", path: "/debug/profiles/{id}", roles: rolesAll, untraced: true, handler: (*service).debugProfile},
 }
 
 // mounted reports whether a role mounts this route at all: either

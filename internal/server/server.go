@@ -38,8 +38,10 @@
 //	GET    /debug/traces/{id}                one trace's span tree + remote-node references
 //	GET    /debug/alerts                     alert engine: rules and per-model states
 //	GET    /debug/fleet                      fleet rollup: per-node health, lag, shards, build
-//	GET    /debug/profiles                   continuous-profiling ring listing
-//	GET    /debug/profiles/{id}              one retained pprof blob
+//
+// Profiling is not on this surface: rrserve serves net/http/pprof only
+// on its -debug-addr side listener, which belongs on localhost or a
+// private network.
 //
 // The server runs as one of three roles (see routes.go): a plain
 // leader, a coordinator (WithCluster: adds the /v1/cluster admin
@@ -83,7 +85,6 @@ import (
 	"ratiorules/internal/matrix"
 	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/fleet"
-	"ratiorules/internal/obs/profile"
 	"ratiorules/internal/obs/trace"
 	"ratiorules/internal/online"
 	"ratiorules/internal/replica"
@@ -138,12 +139,6 @@ func Handler(reg *Registry, opts ...HandlerOption) http.Handler {
 			Dropped: obs.SpanDropCounter(cfg.metrics),
 		})
 	}
-	if cfg.profiles == nil {
-		// A passive ring (nobody calls Run) keeps GET /debug/profiles
-		// serving an honest empty listing; rrserve decides whether the
-		// capture loop actually runs (WithProfiles + -profile-every).
-		cfg.profiles = profile.New(profile.Config{Logger: cfg.logger})
-	}
 	obs.RegisterRuntime(cfg.metrics)
 	obs.RegisterBuildInfo(cfg.metrics)
 	if cfg.online == nil {
@@ -181,7 +176,6 @@ func Handler(reg *Registry, opts ...HandlerOption) http.Handler {
 		failed:         reg.Failed,
 		metricsHandler: cfg.metrics.Handler(),
 		fleet:          cfg.fleet,
-		profiles:       cfg.profiles,
 		role:           role,
 		admission:      cfg.admission,
 		follower:       cfg.follower,
@@ -232,7 +226,6 @@ type service struct {
 	failed         func() error          // readiness seam; Handler wires reg.Failed
 	metricsHandler http.Handler          // GET /metrics (this node's registry)
 	fleet          *fleet.Collector      // nil unless fleet collection configured (WithFleet)
-	profiles       *profile.Ring         // always non-nil; passive unless rrserve runs it
 	admission      *admission.Controller // nil unless traffic protection configured (WithAdmission)
 
 	role          Role

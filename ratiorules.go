@@ -41,8 +41,8 @@
 //
 // The package is a facade over internal/core and its numeric substrates
 // (all implemented from scratch on the standard library): dense matrices,
-// a symmetric eigensolver, SVD with Moore–Penrose pseudo-inverse, and
-// LU/QR solvers.
+// a symmetric eigensolver, and SVD with Moore–Penrose pseudo-inverse,
+// which backs the closed-form fills where they are ill-conditioned.
 package ratiorules
 
 import (
