@@ -57,14 +57,28 @@ func queryDecay(w http.ResponseWriter, req *http.Request) (decay float64, explic
 // decodeIngestRow parses one input line: a bare JSON array of numbers,
 // or an object with a "row" field. The row codec decodes those into
 // dec's reused buffer (the stream copies what it keeps); any other line
-// goes to encoding/json, which decides its error.
+// goes to encoding/json, which decides its error. A row wider than
+// maxRowWidth fails here, before a new stream's accumulator is sized
+// from it; both ingest paths share the check.
 func decodeIngestRow(dec *rowDecoder, raw []byte) ([]float64, error) {
-	if row, ok := dec.array(raw); ok {
-		return row, nil
+	row, ok := dec.array(raw)
+	if !ok {
+		row, _, ok = dec.object(raw, "row", false)
 	}
-	if row, _, ok := dec.object(raw, "row", false); ok {
-		return row, nil
+	if !ok {
+		var err error
+		if row, err = unmarshalIngestRow(raw); err != nil {
+			return nil, err
+		}
 	}
+	if err := widthErr(len(row)); err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadRow, err)
+	}
+	return row, nil
+}
+
+// unmarshalIngestRow is decodeIngestRow's encoding/json fallback.
+func unmarshalIngestRow(raw []byte) ([]float64, error) {
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) > 0 && trimmed[0] == '{' {
 		var obj struct {

@@ -113,6 +113,21 @@ func (r *Registry) Put(ctx context.Context, name string, rules *core.Rules) (int
 	return r.PutContext(ctx, name, rules)
 }
 
+// maxRowWidth bounds the attribute count M of a row that sizes an
+// accumulator — every mine request and the first ingest row of a new
+// stream: mining holds M×M sums and solves them in O(M³), so a wider
+// row is refused before either exists. It is the cluster wire's width
+// cap, so a row a coordinator accepts is one its workers accept.
+const maxRowWidth = cluster.MaxWireWidth
+
+// widthErr reports a row width past maxRowWidth, or nil.
+func widthErr(m int) error {
+	if m > maxRowWidth {
+		return fmt.Errorf("row width %d exceeds the limit of %d attributes", m, maxRowWidth)
+	}
+	return nil
+}
+
 // DefaultMaxBodyBytes caps request bodies unless WithMaxBodyBytes says
 // otherwise: 32 MiB comfortably fits millions of cells per mine request
 // while stopping accidental (or hostile) unbounded uploads.
@@ -391,6 +406,9 @@ func (s *service) mine(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	x, err := matrix.FromRows(body.Rows)
+	if err == nil {
+		err = widthErr(x.Cols())
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
