@@ -518,3 +518,44 @@ func TestWorkerErrorPositions(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionCutsChunksAtCellCap: with ChunkRows at the wire's row cap,
+// rows 32 wide would fill chunks of 2 Mi values, which every worker
+// refuses. The session cuts its chunks at MaxChunkCells/width rows
+// instead, and every row is acked.
+func TestSessionCutsChunksAtCellCap(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	tc.c.cfg.ChunkRows = MaxChunkRows // read once per session, at Ingest
+	sess, err := tc.c.Ingest(context.Background(), "wide", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 32
+	rows := testRows(MaxChunkCells/width+100, width, 9)
+	var accepted, largest int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range sess.Acks() {
+			if ev.Err != nil {
+				t.Errorf("chunk of %d rows failed: %v", ev.Rows, ev.Err)
+				continue
+			}
+			accepted += ev.Rows
+			largest = max(largest, ev.Rows)
+		}
+	}()
+	for _, row := range rows {
+		if err := sess.Push(row); err != nil {
+			t.Fatalf("push: %v", err)
+		}
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	<-done
+	if accepted != len(rows) || largest != MaxChunkCells/width {
+		t.Fatalf("accepted %d of %d rows, largest chunk %d rows; want all, at most %d",
+			accepted, len(rows), largest, MaxChunkCells/width)
+	}
+}

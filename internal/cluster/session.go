@@ -149,7 +149,12 @@ func (s *Session) Push(row []float64) error {
 			s.pushMarker(errors.New("cluster: empty row"))
 			return nil
 		}
+		if len(row) > MaxWireWidth {
+			s.pushMarker(fmt.Errorf("cluster: row width %d exceeds the wire's %d: %w", len(row), MaxWireWidth, core.ErrWidth))
+			return nil
+		}
 		s.width = len(row)
+		s.chunkCap = min(s.chunkCap, MaxChunkCells/s.width)
 		s.c.registerModel(s.name, s.width, s.decay)
 	}
 	if len(row) != s.width {

@@ -59,11 +59,16 @@ const (
 	// suffixes without letting a corrupt length field allocate much.
 	MaxChunkTrace = 128
 
-	// MaxChunkRows bounds a single wire chunk; with the width cap below
-	// a frame stays under 8 MiB however it is filled.
+	// MaxChunkRows bounds the rows of a single wire chunk.
 	MaxChunkRows = 65536
 	// MaxWireWidth bounds the row width a worker will accept.
 	MaxWireWidth = 4096
+	// MaxChunkCells bounds rows × width of a single chunk, so its
+	// payload is at most 8 MiB however it is filled: a reader refuses a
+	// larger claim before allocating anything for it, and the
+	// coordinator cuts chunks at min(ChunkRows, MaxChunkCells/width)
+	// rows.
+	MaxChunkCells = 1 << 20
 )
 
 // Ack codes. Anything non-zero aborts the session: the shard cannot
@@ -121,7 +126,7 @@ func floatsAsBytes(f []float64) []byte {
 
 // AppendChunk encodes one v1 (context-free) chunk frame onto dst and
 // returns the extended slice. The payload must be n·width long with
-// n <= MaxChunkRows.
+// n <= MaxChunkRows and n·width <= MaxChunkCells.
 func AppendChunk(dst []byte, seq uint64, width int, decay float64, payload []float64) []byte {
 	return AppendChunkTrace(dst, seq, width, decay, "", payload)
 }
@@ -185,7 +190,7 @@ func ReadChunk(r io.Reader) (Chunk, error) {
 	}
 	width := int(binary.LittleEndian.Uint32(hdr[4:]))
 	rows := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if width <= 0 || width > MaxWireWidth || rows < 0 || rows > MaxChunkRows {
+	if width <= 0 || width > MaxWireWidth || rows < 0 || rows > MaxChunkRows || rows*width > MaxChunkCells {
 		return Chunk{}, fmt.Errorf("cluster: chunk dims %d x %d: %w", rows, width, ErrBadFrame)
 	}
 	c := Chunk{

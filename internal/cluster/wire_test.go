@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -202,4 +204,141 @@ func TestChunkTraceCorruption(t *testing.T) {
 	if _, err := ReadChunk(bytes.NewReader(frame)); err != nil {
 		t.Fatalf("pristine frame: %v", err)
 	}
+}
+
+// allocBytes reports the bytes the process allocated while f ran.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// maxChunkAlloc is the most one ReadChunk may allocate: a payload of
+// MaxChunkCells float64s, a trace context, and the error on the way out.
+const maxChunkAlloc = MaxChunkCells*8 + MaxChunkTrace + 64<<10
+
+// chunkHeader is a v1 chunk header claiming rows × width, with nothing
+// after it.
+func chunkHeader(rows, width int) []byte {
+	var h [chunkHeaderLen]byte
+	binary.LittleEndian.PutUint32(h[0:], chunkMagic)
+	binary.LittleEndian.PutUint32(h[4:], uint32(width))
+	binary.LittleEndian.PutUint32(h[8:], uint32(rows))
+	return h[:]
+}
+
+// TestChunkHeaderOnlyClaims sends ReadChunk 28-byte frames that claim a
+// payload and carry none. Each fails with ErrBadFrame; a claim past
+// MaxChunkCells is refused before its payload is allocated, and a claim
+// at the cap allocates no more than the cap.
+func TestChunkHeaderOnlyClaims(t *testing.T) {
+	atCap := MaxChunkCells / MaxWireWidth
+	for _, tc := range []struct {
+		rows, width int
+		maxAlloc    uint64
+	}{
+		{65536, 1024, 64 << 10},              // 512 MiB claimed
+		{atCap + 1, MaxWireWidth, 64 << 10},  // one row past the cap
+		{MaxChunkRows, 16 + 1, 64 << 10},     // the row cap, one column too wide for it
+		{atCap, MaxWireWidth, maxChunkAlloc}, // at the cap
+		{MaxChunkRows, 16, maxChunkAlloc},    // at both caps
+	} {
+		var err error
+		n := allocBytes(func() { _, err = ReadChunk(bytes.NewReader(chunkHeader(tc.rows, tc.width))) })
+		if !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%d x %d claim: err %v, want ErrBadFrame", tc.rows, tc.width, err)
+		}
+		if n > tc.maxAlloc {
+			t.Errorf("%d x %d claim: allocated %d bytes, want at most %d", tc.rows, tc.width, n, tc.maxAlloc)
+		}
+	}
+}
+
+// TestChunkAtCapRoundTrip: a chunk of exactly MaxChunkCells values at
+// the widest width the wire allows encodes and decodes unchanged.
+func TestChunkAtCapRoundTrip(t *testing.T) {
+	payload := make([]float64, MaxChunkCells)
+	for i := range payload {
+		payload[i] = float64(i) - 0.5
+	}
+	frame := AppendChunkTrace(nil, 5, MaxWireWidth, 0.5, "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", payload)
+	got, err := ReadChunk(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Seq != 5 || got.Width != MaxWireWidth || got.Decay != 0.5 || len(got.Rows) != len(payload) {
+		t.Fatalf("chunk at the cap: seq %d width %d decay %v, %d values", got.Seq, got.Width, got.Decay, len(got.Rows))
+	}
+	for i, v := range payload {
+		if got.Rows[i] != v {
+			t.Fatalf("value %d: got %v want %v", i, got.Rows[i], v)
+		}
+	}
+}
+
+// FuzzReadChunk feeds arbitrary bytes to ReadChunk as a fan-out stream
+// and to ReadAck as an ack stream. Every read must end in a frame, a
+// clean io.EOF exactly at a frame boundary, or an error wrapping
+// ErrBadFrame, never a panic; no chunk read may allocate past
+// maxChunkAlloc; and every decoded frame re-encodes to the exact bytes
+// it was read from.
+func FuzzReadChunk(f *testing.F) {
+	const tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	valid := AppendChunk(nil, 1, 3, 0, []float64{1, 2, 3, 4, 5, 6})
+	valid = AppendChunkTrace(valid, 2, 2, 0.5, tp, []float64{math.Pi, -1})
+	valid = AppendChunk(valid, 3, 4, 0, nil)
+	f.Add([]byte{})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // torn tail
+	corrupt := bytes.Clone(valid)
+	corrupt[len(corrupt)-1] ^= 0x01
+	f.Add(corrupt)                                               // CRC failure in the last frame
+	f.Add(chunkHeader(65536, 1024))                              // header-only claim past the cap
+	f.Add(chunkHeader(MaxChunkCells/MaxWireWidth, MaxWireWidth)) // header-only claim at the cap
+	acks := AppendAck(nil, Ack{Seq: 1, Rows: 2, Code: AckOK, ShardRows: 2})
+	f.Add(AppendAck(acks, Ack{Seq: 2, Rows: 9, Code: AckWidthConflict, ShardRows: 2}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// end checks a failed read at offset off: io.EOF only at the
+		// end of the input, anything else ErrBadFrame.
+		end := func(what string, off int, err error) {
+			if err == io.EOF {
+				if off != len(data) {
+					t.Fatalf("%s: io.EOF at offset %d of %d", what, off, len(data))
+				}
+			} else if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: error %v does not wrap ErrBadFrame", what, err)
+			}
+		}
+		r := bytes.NewReader(data)
+		for {
+			off := len(data) - r.Len()
+			var c Chunk
+			var err error
+			if n := allocBytes(func() { c, err = ReadChunk(r) }); n > maxChunkAlloc {
+				t.Fatalf("ReadChunk allocated %d bytes, over the %d-byte cap", n, maxChunkAlloc)
+			}
+			if err != nil {
+				end("chunk", off, err)
+				break
+			}
+			if again := AppendChunkTrace(nil, c.Seq, c.Width, c.Decay, c.Trace, c.Rows); !bytes.Equal(again, data[off:len(data)-r.Len()]) {
+				t.Fatal("re-encoded chunk differs from its frame")
+			}
+		}
+		r = bytes.NewReader(data)
+		for {
+			off := len(data) - r.Len()
+			a, err := ReadAck(r)
+			if err != nil {
+				end("ack", off, err)
+				break
+			}
+			if again := AppendAck(nil, a); !bytes.Equal(again, data[off:len(data)-r.Len()]) {
+				t.Fatal("re-encoded ack differs from its frame")
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,6 +27,11 @@ const workerDeadlineSlack = 5 * time.Minute
 
 // deadlineEveryChunks bounds how often the deadline is pushed forward.
 const deadlineEveryChunks = 256
+
+// brokenStreamSlack replaces the rolling deadline when a fan-out stream
+// ends on a bad frame: time for the reply's last chunk to go out and
+// for net/http's bounded read of the rest of the body.
+const brokenStreamSlack = 5 * time.Second
 
 // Worker is one cluster node: a set of per-model StreamMiner shards fed
 // by binary fan-out streams, snapshotted on demand for the
@@ -290,6 +296,7 @@ func (w *Worker) serveIngest(rw http.ResponseWriter, r *http.Request) {
 			// Framing is broken; there is no trustworthy seq to ack, so
 			// drop the connection and let the coordinator retry the
 			// unacked chunks elsewhere.
+			closeAfterReply(rw, rc)
 			return
 		}
 		if root == nil && w.tracer != nil && c.Trace != "" {
@@ -312,6 +319,22 @@ func (w *Worker) serveIngest(rw http.ResponseWriter, r *http.Request) {
 			_ = rc.SetWriteDeadline(time.Now().Add(workerDeadlineSlack))
 		}
 	}
+}
+
+// closeAfterReply ends a stream whose body is still arriving. Left to
+// itself, net/http reads the rest of the body after the handler returns
+// and, once that read reaches EOF, reads the next request while its
+// background reader is still running: it logs "http: panic serving
+// ...: invalid concurrent Body.Read call" and drops the connection.
+// Reading past a zero-byte MaxBytesReader is how a handler whose headers
+// are out asks net/http to close the connection after the reply
+// instead, as the public streams' lineWriter.end does; the deadlines
+// bound what is left of the exchange.
+func closeAfterReply(rw http.ResponseWriter, rc *http.ResponseController) {
+	t := time.Now().Add(brokenStreamSlack)
+	_ = rc.SetReadDeadline(t)
+	_ = rc.SetWriteDeadline(t)
+	_, _ = http.MaxBytesReader(rw, io.NopCloser(strings.NewReader(" ")), 0).Read(make([]byte, 1))
 }
 
 // Snapshot encodes the named shard as a pull document. It returns
