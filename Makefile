@@ -71,6 +71,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCSVSource$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSymEig$$' -fuzztime=$(FUZZTIME) ./internal/eigen
 	$(GO) test -run='^$$' -fuzz='^FuzzRowCodec$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzReadFrame$$' -fuzztime=$(FUZZTIME) ./internal/replica
+	$(GO) test -run='^$$' -fuzz='^FuzzReadChunk$$' -fuzztime=$(FUZZTIME) ./internal/cluster
 
 bench:
 	$(GO) run ./cmd/rrbench -experiment all
