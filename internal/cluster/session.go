@@ -59,7 +59,7 @@ type Session struct {
 	nameHash uint64
 	decay    float64
 	stream   *online.Stream
-	chunkCap int
+	chunkCap int // rows per chunk: ChunkRows, cut to MaxChunkCells/width
 	sem      chan struct{}
 
 	width int       // fixed by the first row
@@ -149,6 +149,8 @@ func (s *Session) Push(row []float64) error {
 			s.pushMarker(errors.New("cluster: empty row"))
 			return nil
 		}
+		// Every worker refuses a wider frame; within the cap a chunk
+		// still holds MaxChunkCells/MaxWireWidth = 256 rows or more.
 		if len(row) > MaxWireWidth {
 			s.pushMarker(fmt.Errorf("cluster: row width %d exceeds the wire's %d: %w", len(row), MaxWireWidth, core.ErrWidth))
 			return nil

@@ -7,8 +7,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"ratiorules/internal/obs/obstest"
 )
 
 func TestChunkRoundTrip(t *testing.T) {
@@ -206,15 +207,6 @@ func TestChunkTraceCorruption(t *testing.T) {
 	}
 }
 
-// allocBytes reports the bytes the process allocated while f ran.
-func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // maxChunkAlloc is the most one ReadChunk may allocate: a payload of
 // MaxChunkCells float64s, a trace context, and the error on the way out.
 const maxChunkAlloc = MaxChunkCells*8 + MaxChunkTrace + 64<<10
@@ -246,7 +238,7 @@ func TestChunkHeaderOnlyClaims(t *testing.T) {
 		{MaxChunkRows, 16, maxChunkAlloc},    // at both caps
 	} {
 		var err error
-		n := allocBytes(func() { _, err = ReadChunk(bytes.NewReader(chunkHeader(tc.rows, tc.width))) })
+		n := obstest.AllocBytes(func() { _, err = ReadChunk(bytes.NewReader(chunkHeader(tc.rows, tc.width))) })
 		if !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%d x %d claim: err %v, want ErrBadFrame", tc.rows, tc.width, err)
 		}
@@ -317,7 +309,7 @@ func FuzzReadChunk(f *testing.F) {
 			off := len(data) - r.Len()
 			var c Chunk
 			var err error
-			if n := allocBytes(func() { c, err = ReadChunk(r) }); n > maxChunkAlloc {
+			if n := obstest.AllocBytes(func() { c, err = ReadChunk(r) }); n > maxChunkAlloc {
 				t.Fatalf("ReadChunk allocated %d bytes, over the %d-byte cap", n, maxChunkAlloc)
 			}
 			if err != nil {

@@ -1,13 +1,25 @@
-// Package obstest holds test helpers for asserting on scraped metrics;
-// it lives outside the obs test files so the server and command tests
-// can share the exposition-format validator.
+// Package obstest holds test helpers for asserting on what a process
+// exposes and spends; it lives outside the obs test files so the tests
+// of several packages can share the exposition-format validator and the
+// allocation meter.
 package obstest
 
 import (
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+// AllocBytes reports the bytes the process allocated while f ran,
+// other goroutines' allocations included.
+func AllocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
 
 // sampleLine matches a valid Prometheus text-format sample: a metric
 // name, an optional {k="v",...} label block, and a float value.

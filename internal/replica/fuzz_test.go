@@ -4,20 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"runtime"
 	"testing"
 
+	"ratiorules/internal/obs/obstest"
 	"ratiorules/internal/store"
 )
-
-// allocBytes reports the bytes the process allocated while f ran.
-func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
 
 // FuzzReadFrame feeds arbitrary bytes to ReadFrame as a replication
 // stream. Every read must end in a frame, a clean io.EOF exactly at a
@@ -62,7 +53,7 @@ func FuzzReadFrame(f *testing.F) {
 			off := len(data) - r.Len()
 			var fr Frame
 			var err error
-			if n := allocBytes(func() { fr, err = ReadFrame(r) }); n > limit(data) {
+			if n := obstest.AllocBytes(func() { fr, err = ReadFrame(r) }); n > limit(data) {
 				t.Fatalf("ReadFrame allocated %d bytes from a %d-byte input", n, len(data))
 			}
 			if err == io.EOF {

@@ -7,10 +7,10 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"testing"
 
+	"ratiorules/internal/obs/obstest"
 	"ratiorules/internal/online"
 )
 
@@ -24,20 +24,11 @@ func wideRow() string {
 // size.
 const wideRowBudget = 16 << 20
 
-// allocBytes reports the bytes the process allocated while f ran.
-func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 func TestMineRejectsRowPastWidthBound(t *testing.T) {
 	ts := newTestServer(t)
 	var status int
 	var code string
-	n := allocBytes(func() {
+	n := obstest.AllocBytes(func() {
 		resp := doRaw(t, "POST", ts.URL+"/v1/rules", "", `{"name":"wide","rows":[`+wideRow()+`]}`)
 		defer resp.Body.Close()
 		status, code = resp.StatusCode, decodeEnvelope(t, "wide mine", resp.Body)
@@ -54,7 +45,7 @@ func TestIngestRejectsRowPastWidthBound(t *testing.T) {
 	ts := onlineTestServer(t, online.Config{Seed: 1})
 	var lines []ingestLine
 	var done ingestLine
-	n := allocBytes(func() {
+	n := obstest.AllocBytes(func() {
 		resp := doRaw(t, "POST", ts.URL+"/v1/rules/wide/ingest", ndjsonContentType, wideRow()+"\n")
 		lines, done = readIngestLines(t, resp)
 	})
