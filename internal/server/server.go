@@ -38,6 +38,7 @@
 //	GET    /debug/traces/{id}                one trace's span tree + remote-node references
 //	GET    /debug/alerts                     alert engine: rules and per-model states
 //	GET    /debug/fleet                      fleet rollup: per-node health, lag, shards, build
+//	GET    /debug/admission                  admission snapshot: tenants, buckets, queues
 //
 // Profiling is not on this surface: rrserve serves net/http/pprof only
 // on its -debug-addr side listener, which belongs on localhost or a
