@@ -252,36 +252,6 @@ func BenchmarkAblationSparseMining(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSubspaceMiner compares the full eigensolve against
-// extracting only the leading subspace with Lanczos on the mining
-// workload (M = 100 Quest data, k = 3).
-func BenchmarkAblationSubspaceMiner(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		opts []ratiorules.Opt
-	}{
-		{"full-solve", []ratiorules.Opt{ratiorules.FixedK(3)}},
-		{"lanczos", []ratiorules.Opt{ratiorules.FixedK(3), ratiorules.MinerOpts(ratiorules.WithLanczosSolver())}},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			miner, err := ratiorules.CoreMiner(tc.opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				src, err := quest.NewSource(quest.DefaultConfig(5000))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := miner.Mine(src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMineThroughput measures core mining throughput per dataset.
 func BenchmarkMineThroughput(b *testing.B) {
 	for _, ds := range experiments.Datasets() {

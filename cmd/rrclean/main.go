@@ -33,7 +33,7 @@ func run(args []string, stdout io.Writer) error {
 		out    = fs.String("out", "", "output path (default: stdout)")
 		robust = fs.Bool("robust", false, "trim row outliers before fitting the rules")
 		em     = fs.Bool("em", false, "mine from ALL rows via iterative fill/re-mine (EM) instead of complete rows only")
-		energy = fs.Float64("energy", ratiorules.DefaultEnergy, "Eq. 1 variance cutoff")
+		energy = fs.Float64("energy", ratiorules.DefaultEnergy, "Eq. 1 variance cutoff in (0, 1]; 0 selects the default")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -130,21 +130,13 @@ func readDamaged(path string) (header []string, rows [][]float64, holes [][]int,
 	return header, rows, holes, nil
 }
 
-// coreMiner builds the miner both fits use. The raw energy option
-// rejects a cutoff outside (0, 1] where Energy(0) would select the
-// default.
-func coreMiner(header []string, energy float64) (*ratiorules.Miner, error) {
-	return ratiorules.CoreMiner(ratiorules.AttrNames(header...),
-		ratiorules.MinerOpts(ratiorules.WithEnergy(energy)))
-}
-
 // mineEM fits rules on every row, holes included, via MineWithHoles.
 func mineEM(header []string, rows [][]float64, energy float64) (*ratiorules.Rules, error) {
 	x, err := ratiorules.MatrixFromRows(rows)
 	if err != nil {
 		return nil, err
 	}
-	miner, err := coreMiner(header, energy)
+	miner, err := ratiorules.CoreMiner(ratiorules.AttrNames(header...), ratiorules.Energy(energy))
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +164,7 @@ func mineComplete(header []string, rows [][]float64, holes [][]int, robust bool,
 	if err != nil {
 		return nil, err
 	}
-	miner, err := coreMiner(header, energy)
+	miner, err := ratiorules.CoreMiner(ratiorules.AttrNames(header...), ratiorules.Energy(energy))
 	if err != nil {
 		return nil, err
 	}

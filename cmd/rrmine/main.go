@@ -45,7 +45,7 @@ func run(args []string) error {
 		out      = fs.String("out", "", "optional path to save the mined rules as JSON")
 		storeDir = fs.String("store", "", "optional model store directory to mine into (see rrserve -data-dir)")
 		name     = fs.String("name", "", "model name in the store (default: input file base name)")
-		energy   = fs.Float64("energy", ratiorules.DefaultEnergy, "Eq. 1 variance-coverage cutoff in (0, 1]")
+		energy   = fs.Float64("energy", ratiorules.DefaultEnergy, "Eq. 1 variance-coverage cutoff in (0, 1]; 0 selects the default")
 		k        = fs.Int("k", -1, "retain exactly k rules instead of the energy cutoff")
 		verbose  = fs.Bool("v", false, "debug logging")
 	)
@@ -72,9 +72,7 @@ func run(args []string) error {
 	if *k >= 0 {
 		opts = append(opts, ratiorules.FixedK(*k))
 	} else {
-		// The raw option rejects a cutoff outside (0, 1]; Energy(0)
-		// would silently select the default.
-		opts = append(opts, ratiorules.MinerOpts(ratiorules.WithEnergy(*energy)))
+		opts = append(opts, ratiorules.Energy(*energy))
 	}
 	start := time.Now()
 	rules, err := ratiorules.MineStream(src, opts...)

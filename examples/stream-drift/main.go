@@ -25,11 +25,11 @@ func main() {
 		return []float64{bread, butterPerBread * bread * (1 + 0.03*rng.NormFloat64())}
 	}
 
-	tracking, err := ratiorules.NewStreamMiner(2, 0.005, ratiorules.WithAttrNames(attrs))
+	tracking, err := ratiorules.NewStreamMiner(2, 0.005, ratiorules.AttrNames(attrs...))
 	if err != nil {
 		log.Fatal(err)
 	}
-	averaging, err := ratiorules.NewStreamMiner(2, 0, ratiorules.WithAttrNames(attrs))
+	averaging, err := ratiorules.NewStreamMiner(2, 0, ratiorules.AttrNames(attrs...))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ratiorules_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -14,12 +15,12 @@ import (
 func TestFacadeWrappers(t *testing.T) {
 	x := grocery(300, 40)
 
-	// Option constructors, through the raw-option escape hatch.
-	miner, err := ratiorules.CoreMiner(ratiorules.MinerOpts(
-		ratiorules.WithEnergy(0.9),
-		ratiorules.WithMaxK(2),
-		ratiorules.WithAttrNames([]string{"bread", "milk", "butter"}),
-	))
+	// The mining setters, lowered onto the core Miner.
+	miner, err := ratiorules.CoreMiner(
+		ratiorules.Energy(0.9),
+		ratiorules.MaxK(2),
+		ratiorules.AttrNames("bread", "milk", "butter"),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,19 +30,6 @@ func TestFacadeWrappers(t *testing.T) {
 	}
 	if rules.K() < 1 || rules.K() > 2 {
 		t.Fatalf("K = %d", rules.K())
-	}
-
-	// Fixed k with the Lanczos leading-pair solver.
-	lm, err := ratiorules.CoreMiner(ratiorules.MinerOpts(ratiorules.WithFixedK(1), ratiorules.WithLanczosSolver()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := lm.MineMatrix(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Eigenvalues()[0]-rules.Eigenvalues()[0]) > 1e-5*(1+rules.Eigenvalues()[0]) {
-		t.Error("leading-pair solver disagrees with full solve")
 	}
 
 	// GEh through the facade.
@@ -124,7 +112,7 @@ func TestFacadeWrappers(t *testing.T) {
 }
 
 func TestFacadeStreamCheckpoint(t *testing.T) {
-	sm, err := ratiorules.NewStreamMiner(2, 0)
+	sm, err := ratiorules.NewStreamMiner(2, 0, ratiorules.AttrNames("x", "y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +125,7 @@ func TestFacadeStreamCheckpoint(t *testing.T) {
 	if err := sm.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ratiorules.LoadStreamMiner(strings.NewReader(buf.String()))
+	back, err := ratiorules.LoadStreamMiner(strings.NewReader(buf.String()), ratiorules.FixedK(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +135,12 @@ func TestFacadeStreamCheckpoint(t *testing.T) {
 	rules, err := back.Rules()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rules.K() != 1 {
+		t.Errorf("restored K = %d, want the FixedK(1) the load was given", rules.K())
+	}
+	if _, err := ratiorules.LoadStreamMiner(strings.NewReader(buf.String()), ratiorules.AttrNames("x")); !errors.Is(err, ratiorules.ErrWidth) {
+		t.Errorf("one name for width 2: err = %v, want ErrWidth", err)
 	}
 	rr1 := rules.Rule(0)
 	if math.Abs(rr1[1]/rr1[0]-2) > 1e-9 {

@@ -434,6 +434,30 @@ func TestIngestDecayConflict(t *testing.T) {
 	if _, err := tc.c.Ingest(ctx, "m", 0.9, true); !errors.Is(err, online.ErrDecayConflict) {
 		t.Fatalf("got %v, want ErrDecayConflict", err)
 	}
+
+	// The stream is created at a session's first accepted row: one
+	// started with another decay after the session opened ends the
+	// session there, and the conflict is that row's error event.
+	late, err := tc.c.Ingest(ctx, "late", 0.5, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.mgr.Stream("late", 0.25, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Push([]float64{1, 2, 3}); !errors.Is(err, online.ErrDecayConflict) {
+		t.Fatalf("first row: got %v, want ErrDecayConflict", err)
+	}
+	if err := late.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var events []AckEvent
+	for ev := range late.Acks() {
+		events = append(events, ev)
+	}
+	if len(events) != 1 || events[0].Rows != 1 || !errors.Is(events[0].Err, online.ErrDecayConflict) {
+		t.Fatalf("events = %+v, want the one row's conflict", events)
+	}
 }
 
 // TestWorkerErrorPositions pins the exact input positions of error

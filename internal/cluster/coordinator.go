@@ -473,7 +473,7 @@ func (c *Coordinator) mergeIfDirty(ctx context.Context, name string) {
 	if !dirty {
 		return
 	}
-	if err := c.mergeAndRepublish(ctx, name); err != nil && !online.IsTooFewRows(err) {
+	if err := c.mergeAndRepublish(ctx, name); err != nil && !errors.Is(err, core.ErrTooFewRows) {
 		c.log.Warn("cluster merge-republish failed", "model", name, "err", err)
 	}
 }
@@ -562,7 +562,7 @@ func (c *Coordinator) mergeAndRepublish(ctx context.Context, name string) error 
 	degraded, err := c.mergeAndRepublishInner(ctx, name)
 	c.met.mergeSeconds.Observe(time.Since(start).Seconds())
 	switch {
-	case err != nil && !online.IsTooFewRows(err):
+	case err != nil && !errors.Is(err, core.ErrTooFewRows):
 		c.met.merges.With("error").Inc()
 	case degraded:
 		c.met.merges.With("degraded").Inc()

@@ -58,8 +58,9 @@ type Session struct {
 	escName  string
 	nameHash uint64
 	decay    float64
-	stream   *online.Stream
-	chunkCap int // rows per chunk: ChunkRows, cut to MaxChunkCells/width
+	explicit bool           // the request named decay (online.Manager.Stream)
+	stream   *online.Stream // nil until the first row is accepted
+	chunkCap int            // rows per chunk: ChunkRows, cut to MaxChunkCells/width
 	sem      chan struct{}
 
 	width int       // fixed by the first row
@@ -93,8 +94,10 @@ type Session struct {
 // Ingest opens a fan-out session for one model. decay semantics match
 // the public ingest endpoint: explicit requests conflict (HTTP 409 via
 // online.ErrDecayConflict) when a stream already runs a different one.
+// As on a single node, a new stream is created at the first row the
+// session accepts.
 func (c *Coordinator) Ingest(ctx context.Context, name string, decay float64, explicitDecay bool) (*Session, error) {
-	st, err := c.cfg.Manager.Stream(name, decay, explicitDecay)
+	st, err := c.cfg.Manager.Existing(name, decay, explicitDecay)
 	if err != nil {
 		return nil, err
 	}
@@ -110,6 +113,7 @@ func (c *Coordinator) Ingest(ctx context.Context, name string, decay float64, ex
 		escName:  url.PathEscape(name),
 		nameHash: h.Sum64(),
 		decay:    decay,
+		explicit: explicitDecay,
 		stream:   st,
 		chunkCap: c.cfg.ChunkRows,
 		sem:      make(chan struct{}, maxInflightChunks),
@@ -136,7 +140,9 @@ func (s *Session) Acks() <-chan AckEvent { return s.acks }
 // vectorized scan per chunk rather than per row; a chunk that fails the
 // scan is split around its bad rows (flushMixed), so per-row error
 // reporting survives while the happy path pays ~nothing. The returned
-// error is session-fatal only (no healthy workers remain).
+// error ends the session: no healthy workers remain, or the stream the
+// first row would create was started meanwhile with another decay (the
+// conflict is then that row's error event too).
 func (s *Session) Push(row []float64) error {
 	s.mu.Lock()
 	fatal := s.fatal
@@ -154,6 +160,14 @@ func (s *Session) Push(row []float64) error {
 		if len(row) > MaxWireWidth {
 			s.pushMarker(fmt.Errorf("cluster: row width %d exceeds the wire's %d: %w", len(row), MaxWireWidth, core.ErrWidth))
 			return nil
+		}
+		if s.stream == nil {
+			st, err := s.c.cfg.Manager.Stream(s.name, s.decay, s.explicit)
+			if err != nil {
+				s.pushMarker(err)
+				return err
+			}
+			s.stream = st
 		}
 		s.width = len(row)
 		s.chunkCap = min(s.chunkCap, MaxChunkCells/s.width)

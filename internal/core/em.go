@@ -41,7 +41,7 @@ type EMResult struct {
 func (m *Miner) MineWithHoles(x *matrix.Dense, cfg EMConfig) (*EMResult, error) {
 	n, cols := x.Dims()
 	if n < 2 {
-		return nil, fmt.Errorf("core: mining needs at least 2 rows, got %d", n)
+		return nil, fmt.Errorf("%w, got %d", ErrTooFewRows, n)
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {

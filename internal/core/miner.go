@@ -54,11 +54,10 @@ func (s *matrixSource) Next() ([]float64, error) {
 // Miner configures Ratio Rules mining. The zero value is not usable;
 // construct with NewMiner and functional options.
 type Miner struct {
-	energy  float64 // Eq. 1 threshold in (0, 1]
-	fixedK  int     // if > 0, retain exactly this many rules
-	maxK    int     // if > 0, cap k after the energy cutoff
-	lanczos bool    // extract only the needed leading pairs
-	attrs   []string
+	energy float64 // Eq. 1 threshold in (0, 1]
+	fixedK int     // if > 0, retain exactly this many rules
+	maxK   int     // if > 0, cap k after the energy cutoff
+	attrs  []string
 }
 
 // Option customizes a Miner.
@@ -104,17 +103,6 @@ func WithMaxK(k int) Option {
 func WithAttrNames(names []string) Option {
 	return func(m *Miner) error {
 		m.attrs = append([]string(nil), names...)
-		return nil
-	}
-}
-
-// WithLanczosSolver extracts the leading eigenpairs with the Lanczos
-// method (full reorthogonalization) — the algorithm family the paper's
-// footnote 1 cites, and the fastest option when k ≪ M. It requires a
-// bound on the number of rules: combine with WithFixedK or WithMaxK.
-func WithLanczosSolver() Option {
-	return func(m *Miner) error {
-		m.lanczos = true
 		return nil
 	}
 }
@@ -222,7 +210,7 @@ func (m *Miner) mine(ctx context.Context, width int, fills ...func(*stats.CovAcc
 		mergeTimer.ObserveDuration()
 	}
 	if total.Count() < 2 {
-		return fail(fmt.Errorf("core: mining needs at least 2 rows, got %d", total.Count()))
+		return fail(fmt.Errorf("%w, got %d", ErrTooFewRows, total.Count()))
 	}
 
 	covTimer := obs.NewTimer(covariancePhase)
@@ -253,28 +241,20 @@ func (m *Miner) MineMatrixContext(ctx context.Context, x *matrix.Dense) (*Rules,
 }
 
 // rulesFromScatter solves the eigensystem of the scatter matrix and applies
-// the retention cutoff.
+// the retention cutoff: every eigenvalue, and eigenvectors only for the k
+// rules kept.
 func (m *Miner) rulesFromScatter(ctx context.Context, scatter *matrix.Dense, means []float64, n int) (*Rules, error) {
 	var (
-		sys   *eigen.System
 		total float64
 		k     int
-		err   error
 	)
 	eigTimer := obs.NewTimer(eigensolvePhase)
 	_, eigSpan := trace.Start(ctx, "mine.eigensolve")
-	if m.lanczos {
-		sys, total, err = m.leadingPairs(scatter)
-		if err == nil {
-			k = m.chooseK(sys.Values, total)
-		}
-	} else {
-		sys, err = eigen.SymEigLeading(scatter, func(values []float64) int {
-			total = clampPSD(values)
-			k = m.chooseK(values, total)
-			return k
-		})
-	}
+	sys, err := eigen.SymEigLeading(scatter, func(values []float64) int {
+		total = clampPSD(values)
+		k = m.chooseK(values, total)
+		return k
+	})
 	eigSpan.End()
 	eigTimer.ObserveDuration()
 	if err != nil {
@@ -332,43 +312,6 @@ func (m *Miner) rulesFromSystem(scatter *matrix.Dense, means []float64, n int, s
 		residStd:      residStd,
 		lev:           leverages(v),
 	}
-}
-
-// leadingPairs extracts just the eigenpairs the cutoff can possibly
-// retain, via Lanczos, with the trace supplying the total variance for
-// Eq. 1.
-func (m *Miner) leadingPairs(scatter *matrix.Dense) (*eigen.System, float64, error) {
-	dim, _ := scatter.Dims()
-	var total float64
-	for i := 0; i < dim; i++ {
-		if v := scatter.At(i, i); v > 0 {
-			total += v
-		}
-	}
-	if m.fixedK == 0 {
-		// col-avgs degenerate case: no pairs needed.
-		return &eigen.System{Vectors: matrix.NewDense(dim, 0)}, total, nil
-	}
-	bound := m.fixedK
-	if bound < 0 {
-		bound = m.maxK
-	}
-	if bound <= 0 {
-		return nil, 0, fmt.Errorf("core: Lanczos solver needs WithFixedK or WithMaxK")
-	}
-	if bound > dim {
-		bound = dim
-	}
-	sys, err := eigen.Lanczos(scatter, bound)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i, l := range sys.Values {
-		if l < 0 {
-			sys.Values[i] = 0
-		}
-	}
-	return sys, total, nil
 }
 
 // chooseK implements Eq. 1: the smallest k whose eigenvalues cover the

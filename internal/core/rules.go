@@ -34,6 +34,9 @@ var (
 	// ErrNoRules indicates an operation that needs at least one retained
 	// rule was invoked on an empty rule set.
 	ErrNoRules = errors.New("core: rule set has no rules")
+	// ErrTooFewRows indicates mining asked of fewer than the two rows a
+	// covariance matrix needs.
+	ErrTooFewRows = errors.New("core: mining needs at least 2 rows")
 	// ErrBadHole indicates a hole index that is negative, out of range or
 	// duplicated.
 	ErrBadHole = errors.New("core: invalid hole index")

@@ -106,10 +106,10 @@ func (s *StreamMiner) Decay() float64 { return s.acc.Decay() }
 func (s *StreamMiner) Merge(other *StreamMiner) error { return streamErr(s.acc.Merge(other.acc)) }
 
 // Rules derives the Ratio Rules from the current (decayed) sums. At least
-// two rows must have been pushed.
+// two rows must have been pushed (ErrTooFewRows otherwise).
 func (s *StreamMiner) Rules() (*Rules, error) {
 	if s.acc.Count() < 2 {
-		return nil, fmt.Errorf("core: stream mining needs at least 2 rows, got %d", s.acc.Count())
+		return nil, fmt.Errorf("%w, got %d", ErrTooFewRows, s.acc.Count())
 	}
 	scatter, err := s.acc.Scatter()
 	if err != nil {

@@ -2,17 +2,15 @@
 // matrices, the "off-the-shelf eigensystem package" step of the Ratio Rules
 // pipeline (Fig. 2(b) of Korn et al., VLDB 1998).
 //
-// Four solvers are provided:
+// Three solvers are provided:
 //
 //   - SymEig: Householder tridiagonalization followed by the implicit-shift
 //     QL iteration (the EISPACK tred2/tql2 pair). The full solve, O(M³)
 //     with a small constant, and robust for the covariance matrices the
-//     miner produces.
+//     miner produces; SymEigLeading's fallback.
 //   - SymEigLeading: SymEig's eigenvalues bit for bit, but eigenvectors
 //     only for the leading k the caller picks from them, by inverse
-//     iteration on the tridiagonal form; the miner's default.
-//   - Lanczos: only the k leading pairs, for wide data (the paper's
-//     footnote 1); the miner's one leading-pairs option.
+//     iteration on the tridiagonal form; the miner's solve.
 //   - Jacobi: classical cyclic Jacobi rotations. Slower but simple and very
 //     accurate; the independent oracle the tests check SymEig against.
 //

@@ -11,7 +11,8 @@ import (
 // leadingCorpus returns matrices of every shape the tests above stress:
 // random PSD and indefinite ones, the Hilbert and Wilkinson matrices,
 // a graded spectrum, the identity, the zero matrix, rank-one and
-// all-ones matrices, and the Quest M=100 scatter.
+// all-ones matrices, the Quest M=100 scatter, and the random PSD M=200
+// matrix BenchmarkSymEigLeading3of200 solves (k ≪ M).
 func leadingCorpus(tb testing.TB) []*matrix.Dense {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -39,7 +40,8 @@ func leadingCorpus(tb testing.TB) []*matrix.Dense {
 		}
 	}
 	return append(corpus, hilbert(12), wilkinson(21), graded, matrix.Identity(7),
-		matrix.NewDense(6, 6), ones, rank1, questScatter(tb))
+		matrix.NewDense(6, 6), ones, rank1, questScatter(tb),
+		randomPSD(rand.New(rand.NewSource(1)), 200))
 }
 
 // TestSymEigLeadingMatchesSymEig: for every k, the eigenvalues are
@@ -58,7 +60,7 @@ func TestSymEigLeadingMatchesSymEig(t *testing.T) {
 		for _, l := range full.Values {
 			scale = math.Max(scale, math.Abs(l))
 		}
-		for _, k := range []int{0, 1, n / 2, n} {
+		for _, k := range []int{0, 1, min(3, n), n / 2, n} {
 			sys, fellBack, err := symEigLeading(a, func([]float64) int { return k }, residualBound)
 			if err != nil {
 				t.Fatalf("matrix %d (n=%d), k=%d: %v", ci, n, k, err)
@@ -139,14 +141,16 @@ func energyPick(values []float64) int {
 }
 
 // BenchmarkSymEigLeadingQuest100 keeps the 14 vectors the Quest scatter
-// mines to at the default 85% energy, as BenchmarkLanczos14ofQuest100
-// does; BenchmarkSymEigQuest100 is the full solve of the same matrix.
+// mines to at the default 85% energy; BenchmarkSymEigQuest100 is the
+// full solve of the same matrix.
 func BenchmarkSymEigLeadingQuest100(b *testing.B) {
 	benchLeading(b, questScatter(b), energyPick)
 }
 
-// BenchmarkSymEigLeading3of200 and BenchmarkSymEigLeading3of400 keep the
-// three vectors the Lanczos benchmarks of the same size extract.
+// BenchmarkSymEigLeading3of200 and BenchmarkSymEigLeading3of400 keep
+// three vectors of wide random PSD matrices (the paper's footnote 1
+// shape: k ≪ M); BenchmarkSymEig200 and BenchmarkSymEig400 are the full
+// solves of the same matrices.
 func BenchmarkSymEigLeading3of200(b *testing.B) {
 	benchLeading(b, randomPSD(rand.New(rand.NewSource(1)), 200), func([]float64) int { return 3 })
 }

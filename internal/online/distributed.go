@@ -2,7 +2,6 @@ package online
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"ratiorules/internal/core"
@@ -54,8 +53,3 @@ func (m *Manager) RepublishFrom(ctx context.Context, name string, merged *core.S
 	st.mu.Unlock()
 	return m.Republish(ctx, name)
 }
-
-// IsTooFewRows reports whether err is a republish attempt on a stream
-// that cannot mine yet (fewer than two rows) — routine during cluster
-// spin-up, not a failure.
-func IsTooFewRows(err error) bool { return errors.Is(err, errTooFewRows) }

@@ -310,6 +310,19 @@ func (m *Manager) Names() []string {
 // fails with ErrDecayConflict when explicitDecay demands a different
 // one (clients that omit the decay parameter join whatever is running).
 func (m *Manager) Stream(name string, decay float64, explicitDecay bool) (*Stream, error) {
+	return m.stream(name, decay, explicitDecay, true)
+}
+
+// Existing is Stream without the creation: it returns the model's live
+// stream, or nil when none runs, failing as Stream does. Ingest checks a
+// request's decay with it before reading any row and creates the stream
+// at the first row it accepts, so a request whose every row is refused
+// leaves no stream behind.
+func (m *Manager) Existing(name string, decay float64, explicitDecay bool) (*Stream, error) {
+	return m.stream(name, decay, explicitDecay, false)
+}
+
+func (m *Manager) stream(name string, decay float64, explicitDecay, create bool) (*Stream, error) {
 	if name == "" {
 		return nil, errors.New("online: empty model name")
 	}
@@ -324,6 +337,9 @@ func (m *Manager) Stream(name string, decay float64, explicitDecay bool) (*Strea
 				ErrDecayConflict, name, st.decay, decay)
 		}
 		return st, nil
+	}
+	if !create {
+		return nil, nil
 	}
 	st := m.newStream(name, decay)
 	m.streams[name] = st
@@ -565,13 +581,10 @@ func (m *Manager) republishIfDirty(ctx context.Context, name string, wake bool) 
 	if !dirty {
 		return
 	}
-	if _, err := m.Republish(ctx, name); err != nil && !errors.Is(err, errTooFewRows) {
+	if _, err := m.Republish(ctx, name); err != nil && !errors.Is(err, core.ErrTooFewRows) {
 		m.cfg.Logger.Warn("online republish failed", "model", name, "err", err)
 	}
 }
-
-// errTooFewRows marks a republish attempt before the stream can mine.
-var errTooFewRows = errors.New("online: too few rows to mine")
 
 // RepublishResult reports one republish attempt.
 type RepublishResult struct {
@@ -608,7 +621,7 @@ func (m *Manager) Republish(ctx context.Context, name string) (RepublishResult, 
 	elapsed := time.Since(start)
 	m.met.republishSeconds.Observe(elapsed.Seconds())
 	switch {
-	case errors.Is(err, errTooFewRows):
+	case errors.Is(err, core.ErrTooFewRows):
 		m.met.republishes.With("skipped").Inc()
 	case err != nil:
 		m.met.republishes.With("error").Inc()
@@ -647,7 +660,7 @@ func (m *Manager) republish(ctx context.Context, name string) (RepublishResult, 
 			count = st.sm.Count()
 		}
 		st.mu.Unlock()
-		return RepublishResult{}, fmt.Errorf("%w: %q has %d rows", errTooFewRows, name, count)
+		return RepublishResult{}, fmt.Errorf("online: stream %q has %d rows: %w", name, count, core.ErrTooFewRows)
 	}
 	clone := st.sm.Clone()
 	holdout := append([][]float64(nil), st.reservoir...)

@@ -19,7 +19,7 @@ import (
 	"net/http"
 
 	"ratiorules/internal/cluster"
-	"ratiorules/internal/online"
+	"ratiorules/internal/core"
 )
 
 // clusterJoinRequest is the POST /v1/cluster/join body.
@@ -61,7 +61,7 @@ func (s *service) clusterStatus(w http.ResponseWriter, _ *http.Request) {
 func (s *service) clusterRepublish(w http.ResponseWriter, req *http.Request) {
 	name := req.PathValue("name")
 	if err := s.cluster.MergeNow(req.Context(), name); err != nil {
-		if online.IsTooFewRows(err) || errors.Is(err, cluster.ErrUnknownModel) {
+		if errors.Is(err, core.ErrTooFewRows) || errors.Is(err, cluster.ErrUnknownModel) {
 			writeErr(w, http.StatusNotFound, CodeNotFound,
 				fmt.Errorf("model %q has no cluster shard rows: %w", name, err))
 			return

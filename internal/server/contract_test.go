@@ -108,6 +108,10 @@ func TestV1Contract(t *testing.T) {
 			body: `{"rows":[[1,2]]}`, wantStatus: 400, wantCode: CodeBadRequest},
 		{label: "mine missing rows", method: "POST", path: "/v1/rules",
 			body: `{"name":"x"}`, wantStatus: 400, wantCode: CodeBadRequest},
+		{label: "mine one row", method: "POST", path: "/v1/rules",
+			body: `{"name":"x","rows":[[1,2]]}`, wantStatus: 400, wantCode: CodeBadRequest},
+		{label: "mine negative energy", method: "POST", path: "/v1/rules",
+			body: `{"name":"x","rows":[[1,2],[2,4.1],[3,5.9]],"energy":-0.5}`, wantStatus: 400, wantCode: CodeBadRequest},
 		{label: "list", method: "GET", path: "/v1/rules", wantStatus: 200},
 
 		{label: "get absent", method: "GET", path: "/v1/rules/absent",

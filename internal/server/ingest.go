@@ -57,9 +57,9 @@ func queryDecay(w http.ResponseWriter, req *http.Request) (decay float64, explic
 // decodeIngestRow parses one input line: a bare JSON array of numbers,
 // or an object with a "row" field. The row codec decodes those into
 // dec's reused buffer (the stream copies what it keeps); any other line
-// goes to encoding/json, which decides its error. A row wider than
-// maxRowWidth fails here, before a new stream's accumulator is sized
-// from it; both ingest paths share the check.
+// goes to encoding/json, which decides its error. An empty row, and a
+// row wider than maxRowWidth, fail here, before a new stream is created
+// or its accumulator sized from them; both ingest paths share the check.
 func decodeIngestRow(dec *rowDecoder, raw []byte) ([]float64, error) {
 	row, ok := dec.array(raw)
 	if !ok {
@@ -70,6 +70,9 @@ func decodeIngestRow(dec *rowDecoder, raw []byte) ([]float64, error) {
 		if row, err = unmarshalIngestRow(raw); err != nil {
 			return nil, err
 		}
+	}
+	if len(row) == 0 {
+		return nil, fmt.Errorf("%w: empty row", errBadRow)
 	}
 	if err := widthErr(len(row)); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadRow, err)
@@ -99,10 +102,6 @@ func unmarshalIngestRow(raw []byte) ([]float64, error) {
 	return row, nil
 }
 
-// ingest streams rows into a model's live accumulator. The first row
-// of a new stream fixes its width; a ?decay=D on stream creation sets
-// its exponential decay, and later requests naming a different decay
-// answer 409 conflict (omit the parameter to join whatever runs).
 // shedDrainSlack replaces the rolling deadline when a stream ends,
 // shed or not: just enough for the last lines to flush and the rest of
 // the body to drain (lineWriter.end). Without this, a rate-limited client
@@ -111,6 +110,12 @@ func unmarshalIngestRow(raw []byte) ([]float64, error) {
 // open indefinitely while every row is refused.
 const shedDrainSlack = 5 * time.Second
 
+// ingest streams rows into a model's live accumulator. The first row
+// of a new stream fixes its width; a ?decay=D on stream creation sets
+// its exponential decay, and later requests naming a different decay
+// answer 409 conflict (omit the parameter to join whatever runs). A new
+// stream is created at the first row accepted, so a request whose every
+// row is refused leaves none behind.
 func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 	name, key, ok := s.modelRef(w, req)
 	if !ok {
@@ -128,7 +133,7 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 		s.ingestClustered(w, req, key, decay, explicit)
 		return
 	}
-	st, err := s.online.Stream(key, decay, explicit)
+	st, err := s.online.Existing(key, decay, explicit)
 	if err != nil {
 		if errors.Is(err, online.ErrDecayConflict) {
 			writeErr(w, http.StatusConflict, CodeConflict, err)
@@ -196,6 +201,16 @@ func (s *service) ingest(w http.ResponseWriter, req *http.Request) {
 				done.Errors++
 				lw.emitErr(index, rowErr)
 				break
+			}
+			// A stream another request started since the check above
+			// with a different decay ends this one, as a shed does.
+			if st == nil {
+				if st, rowErr = s.online.Stream(key, decay, explicit); rowErr != nil {
+					releaseSlot()
+					done.Errors++
+					lw.emitErr(index, rowErr)
+					break
+				}
 			}
 			var count int
 			count, rowErr = st.Push(ctx, row)
@@ -325,8 +340,10 @@ func (s *service) ingestClustered(w http.ResponseWriter, req *http.Request, name
 			continue
 		}
 		if err := sess.Push(row); err != nil {
-			// Session-fatal: no healthy workers remain. The rows already
-			// dispatched surface as error events on Acks; stop feeding.
+			// Session-fatal: no healthy workers remain, or a stream
+			// started since the check above runs another decay. The rows
+			// already dispatched, or the conflict, surface as error
+			// events on Acks; stop feeding.
 			s.logger.Error("cluster ingest aborted", "model", name, "error", err)
 			break
 		}

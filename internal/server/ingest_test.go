@@ -3,10 +3,13 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"ratiorules/internal/obs"
 	"ratiorules/internal/online"
@@ -229,6 +232,68 @@ func TestIngestDecayContract(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/rules/live/stream", nil, &status)
 	if status.Decay != 0.25 {
 		t.Fatalf("stream decay = %v, want 0.25", status.Decay)
+	}
+}
+
+// TestIngestDecayConflictAtFirstRow: a request for a model without a
+// stream passes the decay check, and its first row, refused for being
+// empty, creates nothing. When another request then starts the stream
+// with a different decay, the first row this request would fold ends
+// it with one conflict line, the way a shed ends a stream.
+func TestIngestDecayConflictAtFirstRow(t *testing.T) {
+	ts := onlineTestServer(t, online.Config{RepublishRows: 1 << 30})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /v1/rules/late/ingest?decay=0.5 HTTP/1.1\r\n"+
+		"Host: ingest-test\r\nContent-Type: %s\r\nTransfer-Encoding: chunked\r\n\r\n", ndjsonContentType)
+	chunk := func(s string) {
+		t.Helper()
+		if _, err := fmt.Fprintf(conn, "%x\r\n%s\r\n", len(s), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunk("[]\n")
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading response headers mid-request: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	lines := bufio.NewScanner(resp.Body) // closed with conn
+	var l ingestLine
+	if !lines.Scan() || json.Unmarshal(lines.Bytes(), &l) != nil || l.Error == nil || l.Error.Code != CodeBadRequest {
+		t.Fatalf("first line %q, want a bad_request error", lines.Text())
+	}
+	if status := doJSON(t, "GET", ts.URL+"/v1/rules/late/stream", nil, nil); status != http.StatusNotFound {
+		t.Fatalf("stream status after the refused row = %d, want 404", status)
+	}
+
+	readIngestLines(t, doRaw(t, "POST", ts.URL+"/v1/rules/late/ingest?decay=0.25", ndjsonContentType, "[1,2]\n"))
+	chunk("[2,4]\n[3,6]\n")
+	fmt.Fprint(conn, "0\r\n\r\n")
+	var rest []ingestLine
+	for lines.Scan() {
+		var l ingestLine
+		if err := json.Unmarshal(lines.Bytes(), &l); err != nil {
+			t.Fatalf("malformed line %q: %v", lines.Text(), err)
+		}
+		rest = append(rest, l)
+	}
+	if len(rest) != 2 || rest[0].Index != 1 || rest[0].Error == nil || rest[0].Error.Code != CodeConflict {
+		t.Fatalf("lines after the conflicting stream started: %+v, want one conflict line at index 1, then done", rest)
+	}
+	if d := rest[1].Done; d == nil || d.Rows != 2 || d.Accepted != 0 || d.Errors != 2 {
+		t.Fatalf("done = %+v, want 2 rows, 2 errors", d)
+	}
+	var status online.StreamStatus
+	doJSON(t, "GET", ts.URL+"/v1/rules/late/stream", nil, &status)
+	if status.Decay != 0.25 || status.Rows != 1 {
+		t.Fatalf("stream decay %v rows %d, want the other request's 0.25 and 1", status.Decay, status.Rows)
 	}
 }
 

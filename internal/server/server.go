@@ -325,8 +325,10 @@ func decodeBody(w http.ResponseWriter, req *http.Request, v any) bool {
 func errStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, core.ErrWidth), errors.Is(err, core.ErrBadHole), errors.Is(err, core.ErrNoRules),
-		errors.Is(err, errBadRow):
+		errors.Is(err, core.ErrTooFewRows), errors.Is(err, errBadRow):
 		return http.StatusBadRequest, CodeBadRequest
+	case errors.Is(err, online.ErrDecayConflict):
+		return http.StatusConflict, CodeConflict
 	case errors.Is(err, store.ErrVersionNotFound):
 		return http.StatusNotFound, CodeVersionNotFound
 	case errors.Is(err, store.ErrNotFound):
@@ -420,7 +422,7 @@ func (s *service) mine(w http.ResponseWriter, req *http.Request) {
 	}
 	if body.K != nil {
 		opts = append(opts, core.WithFixedK(*body.K))
-	} else if body.Energy > 0 {
+	} else if body.Energy != 0 {
 		opts = append(opts, core.WithEnergy(body.Energy))
 	}
 	miner, err := core.NewMiner(opts...)

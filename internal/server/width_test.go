@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ratiorules/internal/obs"
 	"ratiorules/internal/obs/obstest"
 	"ratiorules/internal/online"
 )
@@ -42,7 +43,8 @@ func TestMineRejectsRowPastWidthBound(t *testing.T) {
 }
 
 func TestIngestRejectsRowPastWidthBound(t *testing.T) {
-	ts := onlineTestServer(t, online.Config{Seed: 1})
+	metrics := obs.NewRegistry()
+	ts := onlineTestServer(t, online.Config{Seed: 1, Metrics: metrics})
 	var lines []ingestLine
 	var done ingestLine
 	n := obstest.AllocBytes(func() {
@@ -58,12 +60,12 @@ func TestIngestRejectsRowPastWidthBound(t *testing.T) {
 	if n > wideRowBudget {
 		t.Fatalf("wide ingest allocated %d bytes, want at most %d", n, wideRowBudget)
 	}
-	var st online.StreamStatus
-	if status := doJSON(t, "GET", ts.URL+"/v1/rules/wide/stream", nil, &st); status != http.StatusOK {
-		t.Fatalf("stream status = %d", status)
+	// A request whose every row is refused leaves no stream behind.
+	if status := doJSON(t, "GET", ts.URL+"/v1/rules/wide/stream", nil, nil); status != http.StatusNotFound {
+		t.Fatalf("stream status after the refused row = %d, want 404", status)
 	}
-	if st.Width != 0 || st.Rows != 0 {
-		t.Fatalf("stream after the refused row: width %d rows %d, want no accumulator", st.Width, st.Rows)
+	if n := metrics.Gauge("rr_online_streams", "").Value(); n != 0 {
+		t.Fatalf("rr_online_streams = %v after the refused row, want 0", n)
 	}
 	// The refused row fixed nothing: the stream's first good row sets
 	// its width.
@@ -93,6 +95,14 @@ func TestClusterIngestRejectsRowPastWidthBound(t *testing.T) {
 		if !m.Healthy || m.Tainted {
 			t.Fatalf("member %s after the wide row: %+v", m.URL, m)
 		}
+	}
+	// The coordinator, too, leaves no stream for a request whose every
+	// row is refused.
+	if status := doJSON(t, "GET", cs.ts.URL+"/v1/rules/wide/stream", nil, nil); status != http.StatusNotFound {
+		t.Fatalf("stream status after the wide row = %d, want 404", status)
+	}
+	if names := cs.mgr.Names(); len(names) != 0 {
+		t.Fatalf("streams after the wide row: %v, want none", names)
 	}
 
 	var b strings.Builder

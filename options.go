@@ -39,25 +39,24 @@ const DefaultOutlierSigma = core.DefaultOutlierSigma
 // Options.Workers is unset: one worker per available CPU.
 func DefaultBatchWorkers() int { return core.DefaultBatchWorkers() }
 
-// Options consolidates every knob of the facade entry points. The zero
-// value selects the paper's defaults (85% energy cutoff, pseudo-inverse
-// solver, 2-sigma outliers, one batch worker per CPU). Fields may be
-// set directly or through the Opt setters.
+// Options consolidates every knob of the facade entry points, the
+// facade's one option vocabulary. The zero value selects the paper's
+// defaults (85% energy cutoff, no rule cap, 2-sigma outliers, one batch
+// worker per CPU). Fields may be set directly or through the Opt
+// setters.
 type Options struct {
 	// Energy is the Eq. 1 variance-coverage threshold in (0, 1];
-	// 0 selects DefaultEnergy.
+	// 0 selects DefaultEnergy, and any other value outside the range
+	// fails the call.
 	Energy float64
 	// FixedK, when non-nil, retains exactly *FixedK rules instead of
-	// applying the energy cutoff.
+	// applying the energy cutoff; a negative count fails the call.
 	FixedK *int
-	// MaxK, when positive, caps the rule count after the energy cutoff.
+	// MaxK caps the rule count after the energy cutoff; 0 leaves it
+	// uncapped, and a negative cap fails the call.
 	MaxK int
 	// AttrNames attaches attribute names to the mined rules.
 	AttrNames []string
-	// MinerOpts are extra core mining options (eigensolver selection,
-	// ...) appended verbatim — the escape hatch to everything the Miner
-	// API can configure.
-	MinerOpts []Option
 
 	// Workers bounds the batch worker pool; 0 selects
 	// DefaultBatchWorkers().
@@ -70,13 +69,15 @@ type Options struct {
 // Opt is a functional setter for Options.
 type Opt func(*Options)
 
-// Energy sets the Eq. 1 variance-coverage threshold in (0, 1].
+// Energy sets the Eq. 1 variance-coverage threshold in (0, 1]; 0
+// selects DefaultEnergy.
 func Energy(fraction float64) Opt { return func(o *Options) { o.Energy = fraction } }
 
 // FixedK retains exactly k rules (k = 0 degenerates to col-avgs).
 func FixedK(k int) Opt { return func(o *Options) { o.FixedK = &k } }
 
-// MaxK caps the rule count after the energy cutoff.
+// MaxK caps the rule count after the energy cutoff; 0 leaves it
+// uncapped.
 func MaxK(k int) Opt { return func(o *Options) { o.MaxK = k } }
 
 // AttrNames attaches attribute names to the mined rules.
@@ -88,12 +89,6 @@ func Workers(n int) Opt { return func(o *Options) { o.Workers = n } }
 // Sigma sets the outlier threshold in residual standard deviations.
 func Sigma(s float64) Opt { return func(o *Options) { o.Sigma = s } }
 
-// MinerOpts appends raw core mining options (WithLanczosSolver, ...)
-// for configuration the named setters do not cover.
-func MinerOpts(opts ...Option) Opt {
-	return func(o *Options) { o.MinerOpts = append(o.MinerOpts, opts...) }
-}
-
 // buildOptions folds the setters over a zero Options.
 func buildOptions(opts []Opt) Options {
 	var o Options
@@ -103,22 +98,24 @@ func buildOptions(opts []Opt) Options {
 	return o
 }
 
-// minerOptions lowers Options onto the core miner configuration.
-func (o Options) minerOptions() []Option {
-	var out []Option
-	if o.Energy > 0 {
+// minerOptions lowers Options onto the core miner configuration. Every
+// set value goes to core's validating option, so an out-of-range one
+// fails instead of selecting the default.
+func (o Options) minerOptions() []core.Option {
+	var out []core.Option
+	if o.Energy != 0 {
 		out = append(out, core.WithEnergy(o.Energy))
 	}
 	if o.FixedK != nil {
 		out = append(out, core.WithFixedK(*o.FixedK))
 	}
-	if o.MaxK > 0 {
+	if o.MaxK != 0 {
 		out = append(out, core.WithMaxK(o.MaxK))
 	}
 	if o.AttrNames != nil {
 		out = append(out, core.WithAttrNames(o.AttrNames))
 	}
-	return append(out, o.MinerOpts...)
+	return out
 }
 
 // batchOptions lowers Options onto the core batch configuration.

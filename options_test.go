@@ -57,8 +57,7 @@ func TestMineWithOptions(t *testing.T) {
 	}
 
 	// CoreMiner lowers the same Opt setters onto the Miner surface.
-	miner, err := ratiorules.CoreMiner(ratiorules.FixedK(1),
-		ratiorules.MinerOpts(ratiorules.WithLanczosSolver()))
+	miner, err := ratiorules.CoreMiner(ratiorules.FixedK(1))
 	if err != nil {
 		t.Fatalf("CoreMiner: %v", err)
 	}
@@ -72,8 +71,18 @@ func TestMineWithOptions(t *testing.T) {
 }
 
 func TestMineRejectsBadOptions(t *testing.T) {
-	if _, err := ratiorules.MineRows(optionRows(), ratiorules.Energy(1.5)); err == nil {
-		t.Fatal("Energy(1.5) accepted")
+	// Zero selects a default; every other out-of-range value fails.
+	for _, tc := range []struct {
+		name string
+		opt  ratiorules.Opt
+	}{
+		{"Energy(1.5)", ratiorules.Energy(1.5)},
+		{"Energy(-0.5)", ratiorules.Energy(-0.5)},
+		{"MaxK(-3)", ratiorules.MaxK(-3)},
+	} {
+		if _, err := ratiorules.MineRows(optionRows(), tc.opt); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	if _, err := ratiorules.MineRows(nil); err == nil {
 		t.Fatal("empty data accepted")

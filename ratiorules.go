@@ -17,11 +17,13 @@
 // covariance matrix are accumulated streamingly, then an in-memory
 // eigensolve ranks the directions of greatest variance and the 85%-energy
 // cutoff (Eq. 1 of the paper) decides how many rules to keep. Every entry
-// point is configured by the same Opt setters over one Options struct:
+// point, the stream miners and CoreMiner included, is configured by the
+// same Opt setters over one Options struct:
 //
 //	rules, err := ratiorules.Mine(x, ratiorules.AttrNames(names...))
 //	rules, err := ratiorules.MineRows(rows, ratiorules.Energy(0.9))
 //	rules, err := ratiorules.MineStream(src)    // streaming RowSource
+//	sm, err := ratiorules.NewStreamMiner(m, 0.01, ratiorules.MaxK(3))
 //
 // # Reconstruction and applications
 //
@@ -60,8 +62,6 @@ type (
 	Rules = core.Rules
 	// Miner configures and runs rule mining.
 	Miner = core.Miner
-	// Option customizes a Miner.
-	Option = core.Option
 	// RowSource streams data-matrix rows for single-pass mining.
 	RowSource = core.RowSource
 	// Estimator reconstructs hidden cells of a record; Rules, ColAvgs and
@@ -91,9 +91,10 @@ type (
 
 // Sentinel errors, re-exported for errors.Is checks.
 var (
-	ErrNoRules = core.ErrNoRules
-	ErrBadHole = core.ErrBadHole
-	ErrWidth   = core.ErrWidth
+	ErrNoRules    = core.ErrNoRules
+	ErrTooFewRows = core.ErrTooFewRows
+	ErrBadHole    = core.ErrBadHole
+	ErrWidth      = core.ErrWidth
 	// ErrBadRules marks a rule set LoadRules refuses: vectors that are
 	// not orthonormal, or eigenvalues that are non-finite, negative or
 	// not descending.
@@ -109,28 +110,11 @@ func IsHole(v float64) bool { return core.IsHole(v) }
 // DefaultEnergy is the paper's Eq. 1 cutoff threshold (85%).
 const DefaultEnergy = core.DefaultEnergy
 
-// WithEnergy sets the Eq. 1 variance-coverage threshold in (0, 1].
-func WithEnergy(fraction float64) Option { return core.WithEnergy(fraction) }
-
-// WithFixedK retains exactly k rules (k = 0 degenerates to col-avgs).
-func WithFixedK(k int) Option { return core.WithFixedK(k) }
-
-// WithMaxK caps the rule count after the energy cutoff.
-func WithMaxK(k int) Option { return core.WithMaxK(k) }
-
-// WithAttrNames attaches attribute names to the mined rules.
-func WithAttrNames(names []string) Option { return core.WithAttrNames(names) }
-
-// WithLanczosSolver extracts the leading eigenpairs with Lanczos (full
-// reorthogonalization), the fastest choice when k ≪ M. Requires
-// WithFixedK or WithMaxK.
-func WithLanczosSolver() Option { return core.WithLanczosSolver() }
-
 // LoadStreamMiner restores a StreamMiner checkpoint written with
-// StreamMiner.Save; resuming and pushing the remaining rows reproduces an
-// uninterrupted run exactly.
-func LoadStreamMiner(r io.Reader, opts ...Option) (*StreamMiner, error) {
-	return core.LoadStreamMiner(r, opts...)
+// StreamMiner.Save, configured by the same Opt setters as Mine; resuming
+// and pushing the remaining rows reproduces an uninterrupted run exactly.
+func LoadStreamMiner(r io.Reader, opts ...Opt) (*StreamMiner, error) {
+	return core.LoadStreamMiner(r, buildOptions(opts).minerOptions()...)
 }
 
 // Robust-mining extension: alternate mining with row-outlier trimming so a
@@ -202,9 +186,10 @@ func SparsifyRow(row []float64, eps float64) SparseVec { return matrix.SparsifyR
 type StreamMiner = core.StreamMiner
 
 // NewStreamMiner returns a stream miner for rows of the given width with
-// decay lambda in [0, 1); lambda = 0 reproduces batch mining exactly.
-func NewStreamMiner(width int, lambda float64, opts ...Option) (*StreamMiner, error) {
-	return core.NewStreamMiner(width, lambda, opts...)
+// decay lambda in [0, 1), configured by the same Opt setters as Mine;
+// lambda = 0 reproduces batch mining exactly.
+func NewStreamMiner(width int, lambda float64, opts ...Opt) (*StreamMiner, error) {
+	return core.NewStreamMiner(width, lambda, buildOptions(opts).minerOptions()...)
 }
 
 // Categorical-data support (the paper's stated future work): one-hot

@@ -119,6 +119,9 @@ func TestSentinelErrorsExported(t *testing.T) {
 	if _, err := rules.FillRow([]float64{1, 2, 3}, []int{9}); !errors.Is(err, ratiorules.ErrBadHole) {
 		t.Errorf("err = %v, want ratiorules.ErrBadHole", err)
 	}
+	if _, err := ratiorules.MineRows([][]float64{{1, 2, 3}}); !errors.Is(err, ratiorules.ErrTooFewRows) {
+		t.Errorf("err = %v, want ratiorules.ErrTooFewRows", err)
+	}
 }
 
 func TestIsHole(t *testing.T) {
